@@ -861,34 +861,35 @@ Status CdstoreClient::UploadBarrier(const std::vector<Bytes>& path_keys, const B
 
 // -------------------------------------------------------------- download --
 
-Result<GetFileReply> CdstoreClient::FetchRecipe(int cloud, const Bytes& path_key,
-                                                uint64_t generation) {
+Result<CdstoreClient::FetchedRecipe> CdstoreClient::FetchRecipe(int cloud,
+                                                                const Bytes& path_key,
+                                                                uint64_t generation,
+                                                                uint64_t prefetch_bytes) {
   GetFileRequest req;
   req.user = user_;
   req.path_key = path_key;
   req.generation = generation;
-  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
-  RETURN_IF_ERROR(DecodeIfError(frame));
-  GetFileReply reply;
-  RETURN_IF_ERROR(Decode(frame, &reply));
-  return reply;
+  req.prefetch_bytes = prefetch_bytes;
+  FetchedRecipe out;
+  ASSIGN_OR_RETURN(out.frame, CallCloud(cloud, Encode(req)));
+  RETURN_IF_ERROR(DecodeIfError(out.frame));
+  // The prefetched spans view out.frame; moving the frame keeps its buffer.
+  RETURN_IF_ERROR(Decode(out.frame, &out.reply));
+  return out;
 }
 
-Result<CdstoreClient::FetchedShares> CdstoreClient::FetchShares(
-    int cloud, const std::vector<RecipeEntry>& recipe) {
-  FetchedShares out;
-  out.shares.reserve(recipe.size());
-  size_t i = 0;
-  while (i < recipe.size()) {
+Status CdstoreClient::FetchShares(int cloud, const std::vector<RecipeEntry>& recipe,
+                                  size_t begin, FetchedShares* out) {
+  out->shares.reserve(recipe.size());
+  while (begin < recipe.size()) {
+    size_t end = BatchEnd(recipe, begin, opts_.download_batch_bytes);
     GetSharesRequest req;
     req.user = user_;
-    size_t batch_bytes = 0;
-    while (i < recipe.size() && batch_bytes < opts_.download_batch_bytes) {
+    req.fps.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
       req.fps.push_back(recipe[i].fp);
-      batch_bytes += recipe[i].share_size;
-      ++i;
     }
-    ++out.rpcs;
+    ++out->rpcs;
     ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
     RETURN_IF_ERROR(DecodeIfError(frame));
     std::vector<ConstByteSpan> spans;
@@ -898,10 +899,11 @@ Result<CdstoreClient::FetchedShares> CdstoreClient::FetchShares(
     }
     // Adopting the frame moves only the vector header; the heap buffer the
     // spans point into stays put.
-    out.frames.push_back(std::move(frame));
-    out.shares.insert(out.shares.end(), spans.begin(), spans.end());
+    out->frames.push_back(std::move(frame));
+    out->shares.insert(out->shares.end(), spans.begin(), spans.end());
+    begin = end;
   }
-  return out;
+  return Status::Ok();
 }
 
 Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
@@ -918,16 +920,16 @@ Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
     if (std::find(all_ids.begin(), all_ids.end(), i) != all_ids.end()) {
       continue;
     }
-    auto recipe = FetchRecipe(i, path_keys[i], generation);
-    if (!recipe.ok() || recipe.value().recipe.size() != num_secrets) {
+    auto recipe = FetchRecipe(i, path_keys[i], generation, /*prefetch_bytes=*/0);
+    if (!recipe.ok() || recipe.value().reply.recipe.size() != num_secrets) {
       continue;
     }
-    std::vector<RecipeEntry> one = {recipe.value().recipe[s]};
-    auto extra = FetchShares(i, one);
-    if (!extra.ok() || extra.value().shares.size() != 1) {
+    std::vector<RecipeEntry> one = {recipe.value().reply.recipe[s]};
+    FetchedShares extra;
+    if (!FetchShares(i, one, 0, &extra).ok() || extra.shares.size() != 1) {
       continue;
     }
-    ConstByteSpan share = extra.value().shares[0];
+    ConstByteSpan share = extra.shares[0];
     all_ids.push_back(i);
     all_shares.emplace_back(share.begin(), share.end());
   }
@@ -956,24 +958,28 @@ Result<Bytes> CdstoreClient::Download(const std::string& path_name, DownloadStat
 // Pipelined restore (§4.6 applied to the download direction): one fetch
 // lane per chosen cloud streams GetShares batches while the decode workers
 // reconstruct earlier batches and the sink receives secrets in recipe
-// order. A lane whose cloud fails mid-stream recruits a spare cloud (one
-// with a matching recipe) and resumes from the batch that failed, so a
-// flaky cloud degrades the restore instead of aborting it.
+// order. Each lane's first batch arrives with its GetFile reply, so a file
+// of one batch restores in a single round trip per cloud. A lane whose
+// cloud fails mid-stream recruits a spare cloud (one with a matching
+// recipe) and resumes from the batch that failed, so a flaky cloud
+// degrades the restore instead of aborting it.
 Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
                                         uint64_t generation, ByteSink& sink,
                                         DownloadStats* stats) {
   const int n = opts_.n;
   const size_t k = static_cast<size_t>(opts_.k);
 
-  struct Lane {
-    int cloud = -1;
-    std::vector<RecipeEntry> recipe;
-  };
   // One cloud's share spans for one batch; the frame owns the bytes.
   struct Delivery {
     int cloud = -1;
     Bytes frame;
     std::vector<ConstByteSpan> shares;
+  };
+  struct Lane {
+    int cloud = -1;
+    std::vector<RecipeEntry> recipe;
+    Delivery prefetch;  // the GetFile reply's first-batch shares
+    size_t first_batch = 0;
   };
   struct Ctx {
     Mutex mu;
@@ -997,17 +1003,19 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   uint64_t resolved_gen = generation;  // pinned by the first admitted cloud
   bool have_meta = false;
   Status last_error = Status::Unavailable("no cloud reachable");
-  auto admit = [&](int c, Result<GetFileReply> reply) {
+  // Every admission probe asks for the first batch along with the recipe.
+  const uint64_t prefetch_bytes = opts_.download_batch_bytes;
+  auto admit = [&](int c, Result<FetchedRecipe> reply) {
     if (!reply.ok()) {
       last_error = reply.status();
       return;
     }
     if (!have_meta) {
-      file_size = reply.value().file_size;
-      num_secrets = reply.value().recipe.size();
-      resolved_gen = reply.value().generation_id;
+      file_size = reply.value().reply.file_size;
+      num_secrets = reply.value().reply.recipe.size();
+      resolved_gen = reply.value().reply.generation_id;
       have_meta = true;
-    } else if (reply.value().generation_id != resolved_gen) {
+    } else if (reply.value().reply.generation_id != resolved_gen) {
       // This cloud's LATEST differs (e.g. an interrupted backup committed
       // on only some clouds), but it may still hold the resolved
       // generation: re-probe with the generation pinned before giving the
@@ -1017,26 +1025,29 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
         MutexLock lock(ctx.mu);
         ++ctx.rpcs[c];
       }
-      reply = FetchRecipe(c, path_keys[c], resolved_gen);
+      reply = FetchRecipe(c, path_keys[c], resolved_gen, prefetch_bytes);
       if (!reply.ok()) {
         last_error = reply.status();  // availability, not skew: keep it honest
         return;
       }
-      if (reply.value().generation_id != resolved_gen) {
+      if (reply.value().reply.generation_id != resolved_gen) {
         last_error = Status::Corruption("generation mismatch across clouds");
         return;
       }
-      if (reply.value().recipe.size() != num_secrets) {
+      if (reply.value().reply.recipe.size() != num_secrets) {
         last_error = Status::Corruption("recipe length mismatch across clouds");
         return;
       }
-    } else if (reply.value().recipe.size() != num_secrets) {
+    } else if (reply.value().reply.recipe.size() != num_secrets) {
       last_error = Status::Corruption("recipe length mismatch across clouds");
       return;
     }
     Lane lane;
     lane.cloud = c;
-    lane.recipe = std::move(reply.value().recipe);
+    lane.recipe = std::move(reply.value().reply.recipe);
+    lane.prefetch.cloud = c;
+    lane.prefetch.shares = std::move(reply.value().reply.shares);
+    lane.prefetch.frame = std::move(reply.value().frame);
     lanes.push_back(std::move(lane));
   };
   // The first k probes fly concurrently (the common all-healthy case costs
@@ -1045,7 +1056,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   // for failed probes fall back to sequential probing.
   {
     const int first_wave = std::min(static_cast<int>(k), n);
-    std::vector<std::future<Result<GetFileReply>>> probes;
+    std::vector<std::future<Result<FetchedRecipe>>> probes;
     probes.reserve(first_wave);
     for (int c = 0; c < first_wave; ++c) {
       {
@@ -1053,10 +1064,11 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
         ++ctx.rpcs[c];
       }
       probes.push_back(std::async(std::launch::async,
-                                  [this, &path_keys, generation, c,
+                                  [this, &path_keys, generation, prefetch_bytes, c,
                                    ctx = CurrentTraceContext()] {
                                     ScopedTraceParent trace_parent(ctx);
-                                    return FetchRecipe(c, path_keys[c], generation);
+                                    return FetchRecipe(c, path_keys[c], generation,
+                                                       prefetch_bytes);
                                   }));
     }
     {
@@ -1079,7 +1091,8 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
     }
     // Replacement probes pin the already-resolved generation explicitly,
     // so a cloud whose latest differs still serves the right snapshot.
-    admit(c, FetchRecipe(c, path_keys[c], have_meta ? resolved_gen : generation));
+    admit(c, FetchRecipe(c, path_keys[c], have_meta ? resolved_gen : generation,
+                         prefetch_bytes));
   }
   if (lanes.size() < k) {
     return Status(last_error.code(),
@@ -1090,25 +1103,27 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   // function of the secret size).
   std::vector<std::pair<size_t, size_t>> batches;
   std::vector<size_t> secret_sizes(num_secrets);
-  {
-    size_t begin = 0;
-    size_t acc = 0;
-    for (size_t s = 0; s < num_secrets; ++s) {
-      secret_sizes[s] = lanes[0].recipe[s].secret_size;
-      acc += lanes[0].recipe[s].share_size;
-      if (acc >= opts_.download_batch_bytes) {
-        batches.emplace_back(begin, s + 1);
-        begin = s + 1;
-        acc = 0;
-      }
-    }
-    if (begin < num_secrets) {
-      batches.emplace_back(begin, num_secrets);
-    }
+  for (size_t s = 0; s < num_secrets; ++s) {
+    secret_sizes[s] = lanes[0].recipe[s].secret_size;
+  }
+  for (size_t begin = 0; begin < num_secrets;) {
+    size_t end = BatchEnd(lanes[0].recipe, begin, opts_.download_batch_bytes);
+    batches.emplace_back(begin, end);
+    begin = end;
   }
   {
+    // A lane whose GetFile carried exactly the first batch delivers it now
+    // and starts at batch 1; any other prefetch is dropped and the lane
+    // fetches batch 0 with GetShares.
     MutexLock lock(ctx.mu);
     ctx.slots.resize(batches.size());
+    for (Lane& lane : lanes) {
+      if (!batches.empty() && lane.prefetch.shares.size() == batches[0].second) {
+        ctx.slots[0].push_back(std::move(lane.prefetch));
+        lane.first_batch = 1;
+      }
+      lane.prefetch = Delivery{};
+    }
   }
 
   // Called by a lane whose cloud failed: claims the next untried cloud,
@@ -1120,11 +1135,12 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
       int c = ctx.next_candidate++;
       ++ctx.rpcs[c];
       lock.Unlock();
-      auto reply = FetchRecipe(c, path_keys[c], resolved_gen);
-      if (reply.ok() && reply.value().generation_id == resolved_gen &&
-          reply.value().recipe.size() == num_secrets) {
+      // The lane resumes mid-stream, so no first batch rides along.
+      auto reply = FetchRecipe(c, path_keys[c], resolved_gen, /*prefetch_bytes=*/0);
+      if (reply.ok() && reply.value().reply.generation_id == resolved_gen &&
+          reply.value().reply.recipe.size() == num_secrets) {
         lane->cloud = c;
-        lane->recipe = std::move(reply.value().recipe);
+        lane->recipe = std::move(reply.value().reply.recipe);
         if (metrics_.lane_failovers != nullptr) {
           metrics_.lane_failovers->Inc();
         }
@@ -1150,7 +1166,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
     ScopedTraceParent trace_parent(dl_ctx);
     ScopedSpan lane_span(opts_.tracer, "fetch_lane");
     lane_span.AnnotateKV("cloud", static_cast<uint64_t>(lane.cloud));
-    for (size_t b = 0; b < batches.size();) {
+    for (size_t b = lane.first_batch; b < batches.size();) {
       {
         // Fetch-ahead window: lanes stall once kFetchAhead batches are
         // buffered beyond the decoder, bounding restore memory.
@@ -1213,7 +1229,9 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   std::vector<std::thread> lane_threads;
   lane_threads.reserve(lanes.size());
   for (Lane& lane : lanes) {
-    lane_threads.emplace_back(lane_worker, std::move(lane));
+    if (lane.first_batch < batches.size()) {  // else its GetFile carried it all
+      lane_threads.emplace_back(lane_worker, std::move(lane));
+    }
   }
 
   // 3. Decode loop (this thread): waits for each batch to be complete,
@@ -1366,32 +1384,41 @@ Status CdstoreClient::DownloadBarrier(const std::vector<Bytes>& path_keys,
   Status last_error = Status::Unavailable("no cloud reachable");
   for (int i = 0; i < n && clouds.size() < static_cast<size_t>(opts_.k); ++i) {
     ++rpcs_per_cloud[i];
-    auto recipe = FetchRecipe(i, path_keys[i], have_meta ? resolved_gen : generation);
-    if (!recipe.ok()) {
-      last_error = recipe.status();
+    auto fetched = FetchRecipe(i, path_keys[i], have_meta ? resolved_gen : generation,
+                               opts_.download_batch_bytes);
+    if (!fetched.ok()) {
+      last_error = fetched.status();
       continue;
     }
+    GetFileReply& reply = fetched.value().reply;
     if (!have_meta) {
-      file_size = recipe.value().file_size;
-      num_secrets = recipe.value().recipe.size();
-      resolved_gen = recipe.value().generation_id;
+      file_size = reply.file_size;
+      num_secrets = reply.recipe.size();
+      resolved_gen = reply.generation_id;
       have_meta = true;
-    } else if (recipe.value().generation_id != resolved_gen) {
+    } else if (reply.generation_id != resolved_gen) {
       last_error = Status::Corruption("generation mismatch across clouds");
       continue;
-    } else if (recipe.value().recipe.size() != num_secrets) {
+    } else if (reply.recipe.size() != num_secrets) {
       last_error = Status::Corruption("recipe length mismatch across clouds");
       continue;
     }
-    auto shares = FetchShares(i, recipe.value().recipe);
-    if (!shares.ok()) {
-      last_error = shares.status();
+    // The first batch came with the recipe (same rule as the pipelined
+    // path): GetShares covers the rest.
+    FetchedShares shares;
+    if (reply.shares.size() == BatchEnd(reply.recipe, 0, opts_.download_batch_bytes)) {
+      shares.shares = std::move(reply.shares);
+      shares.frames.push_back(std::move(fetched.value().frame));
+    }
+    Status st = FetchShares(i, reply.recipe, shares.shares.size(), &shares);
+    if (!st.ok()) {
+      last_error = st;
       continue;
     }
-    rpcs_per_cloud[i] += shares.value().rpcs;
+    rpcs_per_cloud[i] += shares.rpcs;
     clouds.push_back(i);
-    recipes.push_back(std::move(recipe.value().recipe));
-    cloud_share_lists.push_back(std::move(shares.value()));
+    recipes.push_back(std::move(reply.recipe));
+    cloud_share_lists.push_back(std::move(shares));
   }
   if (clouds.size() < static_cast<size_t>(opts_.k)) {
     return Status(last_error.code(),

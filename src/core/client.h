@@ -74,8 +74,9 @@ struct ClientOptions {
   // upload instead of after most of the file is encoded; dedup results and
   // transferred bytes are identical for any value.
   size_t stream_batch_bytes = 1 << 20;
-  // GetShares granularity of the download path: one fetch RPC covers about
-  // this many share bytes. Client restore memory is bounded by a small
+  // Batch size of the download path: one fetch RPC covers about this many
+  // share bytes (BatchEnd). The first batch rides on the GetFile reply; the
+  // rest are GetShares. Client restore memory is bounded by a small
   // constant number of these batches per cloud.
   size_t download_batch_bytes = 4 << 20;
   // Observability (src/obs/): when set, the client records per-cloud RPC
@@ -461,17 +462,27 @@ class CdstoreClient {
                        const std::vector<const Bytes*>& shares, UploadStats* stats,
                        Mutex* stats_mu, uint64_t* bound_generation);
 
-  // Fetches one cloud's recipe for `generation` (0 = latest); used during
-  // download/repair.
-  Result<GetFileReply> FetchRecipe(int cloud, const Bytes& path_key, uint64_t generation);
-  // All shares named by `recipe`, fetched from `cloud` in download batches.
+  // One cloud's GetFile reply and the frame its prefetched share spans view.
+  struct FetchedRecipe {
+    GetFileReply reply;
+    Bytes frame;
+  };
+  // Fetches one cloud's recipe for `generation` (0 = latest) together with
+  // the shares of the first download batch of up to `prefetch_bytes` (0 =
+  // recipe only); used during download/repair.
+  Result<FetchedRecipe> FetchRecipe(int cloud, const Bytes& path_key, uint64_t generation,
+                                    uint64_t prefetch_bytes);
+  // Shares named by `recipe`, fetched from `cloud` in download batches.
   // The spans view the owned reply frames (no per-share copy).
   struct FetchedShares {
     std::vector<Bytes> frames;
     std::vector<ConstByteSpan> shares;  // recipe order
     uint64_t rpcs = 0;
   };
-  Result<FetchedShares> FetchShares(int cloud, const std::vector<RecipeEntry>& recipe);
+  // Appends the shares of recipe[begin..] to `out`, one GetShares per
+  // download batch (BatchEnd).
+  Status FetchShares(int cloud, const std::vector<RecipeEntry>& recipe, size_t begin,
+                     FetchedShares* out);
 
   // Pipelined download core; `path_keys` already resolved.
   Status DownloadPipelined(const std::vector<Bytes>& path_keys, uint64_t generation,

@@ -640,7 +640,26 @@ void CdstoreServer::GetFile(const GetFileRequest& req, ReplyBuilder& rb) {
   reply.generation_id = rec.value().generation_id;
   reply.file_size = recipe.value().file_size;
   reply.recipe = std::move(recipe.value().entries);
-  rb.Send(reply);
+  // The first download batch rides along with the recipe, so a file whose
+  // shares fit one batch restores in a single round trip. The budget is
+  // clamped to half the frame room left after the recipe; the other half
+  // absorbs BatchEnd's overshoot by its last share.
+  BufferWriter head = BeginFileReply(reply);
+  size_t prefetch = 0;
+  if (req.prefetch_bytes > 0 && head.size() < kMaxFrameBytes) {
+    uint64_t budget =
+        std::min<uint64_t>(req.prefetch_bytes, (kMaxFrameBytes - head.size()) / 2);
+    prefetch = BatchEnd(reply.recipe, 0, budget);
+  }
+  rb.BeginShares(std::move(head), prefetch);
+  for (size_t i = 0; i < prefetch; ++i) {
+    // Any failed share fails the whole GetFile; the client then recruits
+    // another cloud, exactly as for a failed GetShares.
+    if (Status st = StreamOwnedShare(req.user, reply.recipe[i].fp, rb); !st.ok()) {
+      rb.SendError(st);
+      return;
+    }
+  }
 }
 
 void CdstoreServer::GetShares(const GetSharesRequest& req, ReplyBuilder& rb) {
@@ -648,41 +667,39 @@ void CdstoreServer::GetShares(const GetSharesRequest& req, ReplyBuilder& rb) {
   CountUser("cdstore_server_user_requests_total", req.user);
   rb.BeginShares(req.fps.size());
   for (const Fingerprint& fp : req.fps) {
-    ShareLocation loc;
-    {
-      ReaderMutexLock stripe(stripes_[StripeOf(fp)].mu);
-      // Access control: only owners may fetch a share by fingerprint —
-      // possession of a fingerprint must not grant access to the content
-      // (the [27] attack).
-      auto owns = share_index_.UserHasShare(fp, req.user);
-      if (!owns.ok()) {
-        rb.SendError(owns.status());
-        return;
-      }
-      if (!owns.value()) {
-        rb.SendError(Status::PermissionDenied("user does not own share " +
-                                              FingerprintAbbrev(fp)));
-        return;
-      }
-      auto found = share_index_.Lookup(fp);
-      if (!found.ok()) {
-        rb.SendError(found.status());
-        return;
-      }
-      if (!found.value().has_value()) {
-        rb.SendError(Status::NotFound("share missing: " + FingerprintAbbrev(fp)));
-        return;
-      }
-      loc = *found.value();
-    }
-    auto share = share_store_.Fetch(BlobHandle{loc.container_id, loc.index_in_container});
-    if (!share.ok()) {
-      rb.SendError(share.status());
+    if (Status st = StreamOwnedShare(req.user, fp, rb); !st.ok()) {
+      rb.SendError(st);
       return;
     }
-    // Straight into the reply frame: no vector<Bytes> gather + re-encode.
-    rb.AddShare(share.value());
   }
+}
+
+Status CdstoreServer::StreamOwnedShare(UserId user, const Fingerprint& fp, ReplyBuilder& rb) {
+  ShareLocation loc;
+  {
+    ReaderMutexLock stripe(stripes_[StripeOf(fp)].mu);
+    // Access control: only owners may fetch a share by fingerprint —
+    // possession of a fingerprint must not grant access to the content
+    // (the [27] attack).
+    ASSIGN_OR_RETURN(bool owns, share_index_.UserHasShare(fp, user));
+    if (!owns) {
+      return Status::PermissionDenied("user does not own share " + FingerprintAbbrev(fp));
+    }
+    ASSIGN_OR_RETURN(std::optional<ShareLocation> found, share_index_.Lookup(fp));
+    if (!found.has_value()) {
+      return Status::NotFound("share missing: " + FingerprintAbbrev(fp));
+    }
+    loc = *found;
+  }
+  // A varint length prefix takes at most 10 bytes.
+  if (rb.streamed_bytes() + loc.share_size + 10 > kMaxFrameBytes) {
+    return Status::ResourceExhausted("share reply exceeds the frame cap");
+  }
+  ASSIGN_OR_RETURN(Bytes share,
+                   share_store_.Fetch(BlobHandle{loc.container_id, loc.index_in_container}));
+  // Straight into the reply frame: no vector<Bytes> gather + re-encode.
+  rb.AddShare(share);
+  return Status::Ok();
 }
 
 Result<FileRecipe> CdstoreServer::FetchRecipeBlob(const GenerationRecord& rec) {

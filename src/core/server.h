@@ -193,6 +193,12 @@ class CdstoreServer : public ServerService {
 
   Status LoadMeta();
   Status SaveMetaLocked() REQUIRES(commit_mu_);
+  // The ownership-checked share fetch behind GetShares and the GetFile
+  // prefetch: under the share's stripe read lock, a user who holds no
+  // reference gets kPermissionDenied and an unindexed share kNotFound; the
+  // fetched bytes are appended straight to `rb`'s streamed frame, which
+  // must stay under kMaxFrameBytes (kResourceExhausted otherwise).
+  Status StreamOwnedShare(UserId user, const Fingerprint& fp, ReplyBuilder& rb);
   // Fetches + parses the recipe blob a generation record points at.
   Result<FileRecipe> FetchRecipeBlob(const GenerationRecord& rec);
   // Drops one reference per recipe entry for `user` (stripe-locked per

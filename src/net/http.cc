@@ -130,6 +130,20 @@ Result<bool> ReadHead(DeadlineSocket& sock, std::string* head, Bytes* spill,
   }
 }
 
+// The message's Content-Length (0 when absent), bounded by
+// kMaxHttpBodyBytes so a hostile peer cannot size our buffer.
+Result<size_t> BodyLength(const std::string& content_length) {
+  if (content_length.empty()) {
+    return size_t{0};
+  }
+  uint64_t len = std::strtoull(content_length.c_str(), nullptr, 10);
+  if (len > kMaxHttpBodyBytes) {
+    return Status::Corruption("HTTP body of " + content_length + " bytes exceeds the " +
+                              std::to_string(kMaxHttpBodyBytes >> 20) + " MiB cap");
+  }
+  return static_cast<size_t>(len);
+}
+
 Status ReadBody(DeadlineSocket& sock, Bytes spill, size_t content_length, Bytes* body,
                 SockDeadline deadline) {
   if (spill.size() > content_length) {
@@ -372,12 +386,9 @@ Result<HttpResponse> HttpClient::DoOnce(DeadlineSocket& sock, const std::string&
     return Status::Corruption("malformed HTTP status line: " + status_line);
   }
   resp.keep_alive = LowerCopy(resp.HeaderValue("connection")) != "close";
-  size_t content_length = 0;
-  std::string cl = resp.HeaderValue("content-length");
-  if (!cl.empty()) {
-    content_length = static_cast<size_t>(std::strtoull(cl.c_str(), nullptr, 10));
-  }
+  // A HEAD reply's Content-Length describes the object, not a body to read.
   if (method != "HEAD") {
+    ASSIGN_OR_RETURN(size_t content_length, BodyLength(resp.HeaderValue("content-length")));
     RETURN_IF_ERROR(ReadBody(sock, std::move(spill), content_length, &resp.body, deadline));
   }
   return resp;
@@ -430,14 +441,7 @@ Result<bool> ReadHttpRequest(DeadlineSocket& sock, HttpRequest* out, SockDeadlin
   }
   out->method = request_line.substr(0, sp1);
   out->target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  size_t content_length = 0;
-  std::string cl = out->HeaderValue("content-length");
-  if (!cl.empty()) {
-    content_length = static_cast<size_t>(std::strtoull(cl.c_str(), nullptr, 10));
-  }
-  if (content_length > (256u << 20)) {
-    return Status::Corruption("request body exceeds 256MB");
-  }
+  ASSIGN_OR_RETURN(size_t content_length, BodyLength(out->HeaderValue("content-length")));
   RETURN_IF_ERROR(ReadBody(sock, std::move(spill), content_length, &out->body, deadline));
   return true;
 }

@@ -20,6 +20,11 @@
 
 namespace cdstore {
 
+// Largest message body either side of the HTTP stack accepts (256 MiB),
+// request or response: a peer's Content-Length beyond it is kCorruption,
+// checked before any buffer is sized.
+inline constexpr size_t kMaxHttpBodyBytes = size_t{256} << 20;
+
 // Absolute deadline for socket operations; Never() = unbounded.
 using SockDeadline = std::chrono::steady_clock::time_point;
 inline SockDeadline NoSockDeadline() { return SockDeadline::max(); }

@@ -44,13 +44,6 @@ Status GetFpList(BufferReader* r, std::vector<Fingerprint>* fps) {
   return Status::Ok();
 }
 
-void PutBlobList(BufferWriter* w, const std::vector<Bytes>& blobs) {
-  w->PutVarint(blobs.size());
-  for (const Bytes& b : blobs) {
-    w->PutBytes(b);
-  }
-}
-
 Status GetBlobList(BufferReader* r, std::vector<Bytes>* blobs) {
   uint64_t count = 0;
   RETURN_IF_ERROR(r->GetVarint(&count));
@@ -65,6 +58,31 @@ Status GetBlobList(BufferReader* r, std::vector<Bytes>* blobs) {
     blobs->push_back(std::move(b));
   }
   return Status::Ok();
+}
+
+// Zero-copy list of length-prefixed blobs: each span views `r`'s buffer.
+Status GetBlobSpans(BufferReader* r, std::vector<ConstByteSpan>* blobs) {
+  uint64_t count = 0;
+  RETURN_IF_ERROR(r->GetVarint(&count));
+  if (count > r->remaining()) {
+    return Status::Corruption("blob count exceeds frame");
+  }
+  blobs->clear();
+  blobs->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    ConstByteSpan s;
+    RETURN_IF_ERROR(r->GetBytesView(&s));
+    blobs->push_back(s);
+  }
+  return Status::Ok();
+}
+
+template <typename Blobs>
+void PutBlobs(BufferWriter* w, const Blobs& blobs) {
+  w->PutVarint(blobs.size());
+  for (const auto& b : blobs) {
+    w->PutBytes(b);
+  }
 }
 
 void PutRecipe(BufferWriter* w, const std::vector<RecipeEntry>& recipe) {
@@ -136,7 +154,7 @@ Status Decode(ConstByteSpan frame, FpQueryReply* m) {
 Bytes Encode(const UploadSharesRequest& m) {
   BufferWriter w = Begin(MsgType::kUploadSharesRequest);
   w.PutU64(m.user);
-  PutBlobList(&w, m.shares);
+  PutBlobs(&w, m.shares);
   return w.Take();
 }
 
@@ -151,19 +169,7 @@ Status DecodeView(ConstByteSpan frame, UploadSharesRequestView* m) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesRequest));
   RETURN_IF_ERROR(r.GetU64(&m->user));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("blob count exceeds frame");
-  }
-  m->shares.clear();
-  m->shares.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ConstByteSpan s;
-    RETURN_IF_ERROR(r.GetBytesView(&s));
-    m->shares.push_back(s);
-  }
-  return Status::Ok();
+  return GetBlobSpans(&r, &m->shares);
 }
 
 Bytes Encode(const UploadSharesReply& m) {
@@ -229,11 +235,24 @@ Status Decode(ConstByteSpan frame, PutFileReply* m) {
 
 // ---- GetFile ---------------------------------------------------------------
 
+size_t BatchEnd(const std::vector<RecipeEntry>& recipe, size_t begin, uint64_t batch_bytes) {
+  size_t end = begin;
+  uint64_t acc = 0;
+  while (end < recipe.size()) {
+    acc += recipe[end++].share_size;
+    if (acc >= batch_bytes) {
+      break;
+    }
+  }
+  return end;
+}
+
 Bytes Encode(const GetFileRequest& m) {
   BufferWriter w = Begin(MsgType::kGetFileRequest);
   w.PutU64(m.user);
   w.PutBytes(m.path_key);
   w.PutU64(m.generation);
+  w.PutU64(m.prefetch_bytes);
   return w.Take();
 }
 
@@ -242,14 +261,22 @@ Status Decode(ConstByteSpan frame, GetFileRequest* m) {
   RETURN_IF_ERROR(CheckType(&r, MsgType::kGetFileRequest));
   RETURN_IF_ERROR(r.GetU64(&m->user));
   RETURN_IF_ERROR(r.GetBytes(&m->path_key));
-  return r.GetU64(&m->generation);
+  RETURN_IF_ERROR(r.GetU64(&m->generation));
+  m->prefetch_bytes = 0;
+  return r.remaining() == 0 ? Status::Ok() : r.GetU64(&m->prefetch_bytes);
+}
+
+BufferWriter BeginFileReply(const GetFileReply& head) {
+  BufferWriter w = Begin(MsgType::kGetFileReply);
+  w.PutU64(head.generation_id);
+  w.PutU64(head.file_size);
+  PutRecipe(&w, head.recipe);
+  return w;
 }
 
 Bytes Encode(const GetFileReply& m) {
-  BufferWriter w = Begin(MsgType::kGetFileReply);
-  w.PutU64(m.generation_id);
-  w.PutU64(m.file_size);
-  PutRecipe(&w, m.recipe);
+  BufferWriter w = BeginFileReply(m);
+  PutBlobs(&w, m.shares);
   return w.Take();
 }
 
@@ -258,7 +285,16 @@ Status Decode(ConstByteSpan frame, GetFileReply* m) {
   RETURN_IF_ERROR(CheckType(&r, MsgType::kGetFileReply));
   RETURN_IF_ERROR(r.GetU64(&m->generation_id));
   RETURN_IF_ERROR(r.GetU64(&m->file_size));
-  return GetRecipe(&r, &m->recipe);
+  RETURN_IF_ERROR(GetRecipe(&r, &m->recipe));
+  m->shares.clear();
+  if (r.remaining() == 0) {
+    return Status::Ok();  // a reply without the prefetch list
+  }
+  RETURN_IF_ERROR(GetBlobSpans(&r, &m->shares));
+  if (m->shares.size() > m->recipe.size()) {
+    return Status::Corruption("more prefetched shares than recipe entries");
+  }
+  return Status::Ok();
 }
 
 // ---- GetShares -------------------------------------------------------------
@@ -277,9 +313,11 @@ Status Decode(ConstByteSpan frame, GetSharesRequest* m) {
   return GetFpList(&r, &m->fps);
 }
 
+BufferWriter BeginSharesReply() { return Begin(MsgType::kGetSharesReply); }
+
 Bytes Encode(const GetSharesReply& m) {
-  BufferWriter w = Begin(MsgType::kGetSharesReply);
-  PutBlobList(&w, m.shares);
+  BufferWriter w = BeginSharesReply();
+  PutBlobs(&w, m.shares);
   return w.Take();
 }
 
@@ -292,19 +330,7 @@ Status Decode(ConstByteSpan frame, GetSharesReply* m) {
 Status DecodeShareSpans(ConstByteSpan frame, std::vector<ConstByteSpan>* shares) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kGetSharesReply));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("blob count exceeds frame");
-  }
-  shares->clear();
-  shares->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ConstByteSpan s;
-    RETURN_IF_ERROR(r.GetBytesView(&s));
-    shares->push_back(s);
-  }
-  return Status::Ok();
+  return GetBlobSpans(&r, shares);
 }
 
 // ---- DeleteFile ------------------------------------------------------------

@@ -5,8 +5,12 @@
 //                  already uploaded?")
 //   UploadShares   4MB batches of unique shares (server re-fingerprints)
 //   PutFile        finalize a file generation: pathname share + recipe
-//   GetFile        fetch a generation's recipe by pathname share
-//   GetShares      fetch shares by fingerprint
+//   GetFile        fetch a generation's recipe by pathname share, plus the
+//                  shares of the download's first batch (BatchEnd) when the
+//                  request asks for a prefetch, so a small file restores in
+//                  one round trip per cloud
+//   GetShares      fetch shares by fingerprint (batches after the first,
+//                  failover and brute-force recovery)
 //   DeleteFile     drop a file (every generation) and its share references
 //   Stats          server-side accounting for experiments
 //   ListVersions   enumerate a path's backup generations (§5: the paper's
@@ -31,6 +35,7 @@
 #include "src/dedup/fingerprint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/io.h"
 #include "src/util/status.h"
 
 namespace cdstore {
@@ -158,12 +163,29 @@ struct GetFileRequest {
   uint64_t user = 0;
   Bytes path_key;
   uint64_t generation = 0;  // 0 = latest
+  // Byte budget of the first download batch to return with the recipe
+  // (the client's download_batch_bytes); 0 = recipe only. Trailing field: a
+  // frame without it decodes as 0. The server clamps it so the reply stays
+  // under kMaxFrameBytes.
+  uint64_t prefetch_bytes = 0;
 };
 struct GetFileReply {
   uint64_t generation_id = 0;  // resolved id (latest when requested as 0)
   uint64_t file_size = 0;
   std::vector<RecipeEntry> recipe;
+  // Shares of recipe[0, shares.size()) — the first batch, BatchEnd(recipe,
+  // 0, prefetch) long — or empty when none were asked for. Decode makes them
+  // spans into the reply frame (as DecodeShareSpans does), so the frame must
+  // outlive them. Trailing list: a frame without it decodes as empty.
+  std::vector<ConstByteSpan> shares;
 };
+
+// One download batch: the end of the batch that starts at recipe[begin],
+// found by accumulating share_size until it reaches `batch_bytes`. A batch
+// holds at least one entry (begin < recipe.size()). The client's batch plan
+// and the server's GetFile prefetch both use it, so they cut the same
+// boundaries.
+size_t BatchEnd(const std::vector<RecipeEntry>& recipe, size_t begin, uint64_t batch_bytes);
 
 struct GetSharesRequest {
   uint64_t user = 0;
@@ -359,6 +381,11 @@ Bytes Encode(const PutFileRequest& m);
 Bytes Encode(const PutFileReply& m);
 Bytes Encode(const GetFileRequest& m);
 Bytes Encode(const GetFileReply& m);
+// Streaming encoders for the two share-carrying replies: the frame up to
+// (not including) its trailing share list. Appending PutVarint(count) and
+// `count` PutBytes(share) yields the Encode() frame.
+BufferWriter BeginSharesReply();
+BufferWriter BeginFileReply(const GetFileReply& head);  // head.shares ignored
 Bytes Encode(const GetSharesRequest& m);
 Bytes Encode(const GetSharesReply& m);
 Bytes Encode(const DeleteFileRequest& m);

@@ -2,14 +2,11 @@
 
 namespace cdstore {
 
-void ReplyBuilder::BeginShares(size_t count) {
-  shares_ = BufferWriter();
-  shares_.PutU8(static_cast<uint8_t>(MsgType::kGetSharesReply));
+void ReplyBuilder::BeginShares(BufferWriter head, size_t count) {
+  shares_ = std::move(head);
   shares_.PutVarint(count);
   streaming_ = true;
 }
-
-void ReplyBuilder::AddShare(ConstByteSpan share) { shares_.PutBytes(share); }
 
 Bytes ReplyBuilder::TakeFrame() {
   if (sent_) {

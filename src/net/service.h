@@ -18,11 +18,12 @@
 namespace cdstore {
 
 // Accumulates exactly one reply frame. A handler either Send()s a typed
-// reply / SendError()s a status, or — for GetShares, whose payload
-// dominates — streams shares into the frame with BeginShares()/AddShare()
-// so the fetched bytes are serialized once instead of being gathered into
-// a vector<Bytes> and copied again by an encoder. All paths produce frames
-// byte-identical to the Encode()/EncodeError() wire format.
+// reply / SendError()s a status, or — for GetShares and a prefetching
+// GetFile, whose payload dominates — streams shares into the frame with
+// BeginShares()/AddShare() so the fetched bytes are serialized once instead
+// of being gathered into a vector<Bytes> and copied again by an encoder.
+// All paths produce frames byte-identical to the Encode()/EncodeError()
+// wire format.
 class ReplyBuilder {
  public:
   void Send(const FpQueryReply& m) { Finish(Encode(m)); }
@@ -43,10 +44,15 @@ class ReplyBuilder {
   // An error overrides any partially streamed reply.
   void SendError(const Status& status) { Finish(EncodeError(status)); }
 
-  // Streaming GetShares reply: header once, then each share appended
+  // Streaming share reply: `head` (the frame up to its share list, from
+  // BeginSharesReply or BeginFileReply) once, then each share appended
   // directly to the frame. `count` must match the AddShare() call count.
-  void BeginShares(size_t count);
-  void AddShare(ConstByteSpan share);
+  void BeginShares(BufferWriter head, size_t count);
+  void BeginShares(size_t count) { BeginShares(BeginSharesReply(), count); }
+  void AddShare(ConstByteSpan share) { shares_.PutBytes(share); }
+  // Bytes streamed so far, so a handler can keep the frame under
+  // kMaxFrameBytes.
+  size_t streamed_bytes() const { return shares_.size(); }
 
   // True once a terminal Send/SendError (not BeginShares) ran.
   bool sent() const { return sent_; }
@@ -62,7 +68,7 @@ class ReplyBuilder {
   }
 
   Bytes frame_;
-  BufferWriter shares_;  // streaming GetShares frame under construction
+  BufferWriter shares_;  // streaming share frame under construction
   bool streaming_ = false;
   bool sent_ = false;
 };

@@ -63,8 +63,8 @@ bool ReadFrame(int fd, Bytes* frame) {
   for (int i = 0; i < 4; ++i) {
     len |= static_cast<uint32_t>(hdr[i]) << (8 * i);
   }
-  if (len > (64u << 20)) {
-    return false;  // frame cap: 64MB
+  if (len > kMaxFrameBytes) {
+    return false;
   }
   frame->resize(len);
   return len == 0 || ReadAll(fd, frame->data(), len);
@@ -312,8 +312,8 @@ Result<Bytes> TcpTransport::Call(ConstByteSpan request) {
     for (int i = 0; i < 4; ++i) {
       reply_len |= static_cast<uint32_t>(hdr[i]) << (8 * i);
     }
-    if (reply_len > (64u << 20)) {
-      st = Status::Corruption("reply frame exceeds 64MB cap");
+    if (reply_len > kMaxFrameBytes) {
+      st = Status::Corruption("reply frame exceeds the frame cap");
     } else {
       reply.resize(reply_len);
       if (reply_len > 0) {

@@ -23,6 +23,11 @@ class ServerService;
 // remains the shape transports move frames through.
 using RpcHandler = std::function<Bytes(ConstByteSpan)>;
 
+// Largest request or reply frame a transport carries (64 MiB). The TCP
+// front end rejects anything longer, and servers bound their replies by it
+// (GetFile clamps its share prefetch to fit).
+inline constexpr size_t kMaxFrameBytes = size_t{64} << 20;
+
 class Transport {
  public:
   virtual ~Transport() = default;

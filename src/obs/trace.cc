@@ -24,6 +24,20 @@ struct RingCache {
 };
 thread_local RingCache t_ring_cache;
 
+// The rings this thread leases, one per tracer it has recorded into. At
+// thread exit each goes back on its pool's free list under the pool mutex.
+struct RingLeases {
+  std::vector<std::pair<std::shared_ptr<trace_internal::RingPool>, trace_internal::ThreadRing*>>
+      held;
+  ~RingLeases() {
+    for (auto& [pool, ring] : held) {
+      MutexLock lock(pool->mu);
+      pool->free.push_back(ring);
+    }
+  }
+};
+thread_local RingLeases t_ring_leases;
+
 std::atomic<uint64_t> g_tracer_generation{1};
 
 uint32_t CurrentTid() {
@@ -100,12 +114,11 @@ TraceContext CurrentTraceContext() { return t_current_trace; }
 
 namespace trace_internal {
 
-ThreadRing::ThreadRing(size_t slot_count, uint32_t tid_in) {
+ThreadRing::ThreadRing(size_t slot_count) {
   size_t n = RoundUpPow2(std::max<size_t>(slot_count, 2));
   slots = std::make_unique<Slot[]>(n);
   mask = n - 1;
   next = 0;
-  tid = tid_in;
 }
 
 }  // namespace trace_internal
@@ -157,22 +170,35 @@ trace_internal::ThreadRing* Tracer::Ring() {
   if (cache.tracer == this && cache.generation == generation_) {
     return cache.ring;
   }
-  trace_internal::ThreadRing* ring = RegisterRing();
+  trace_internal::ThreadRing* ring = LeaseRing();
   cache = RingCache{this, generation_, ring};
   return ring;
 }
 
-trace_internal::ThreadRing* Tracer::RegisterRing() {
-  MutexLock lock(rings_mu_);
-  std::thread::id self = std::this_thread::get_id();
-  auto it = ring_by_thread_.find(self);
-  if (it != ring_by_thread_.end()) {
-    return it->second;
+trace_internal::ThreadRing* Tracer::LeaseRing() {
+  auto& held = t_ring_leases.held;
+  for (const auto& [pool, ring] : held) {
+    if (pool == pool_) {
+      return ring;  // the one-entry cache missed: this thread also records elsewhere
+    }
   }
-  rings_.push_back(
-      std::make_unique<trace_internal::ThreadRing>(opts_.ring_slots, CurrentTid()));
-  trace_internal::ThreadRing* ring = rings_.back().get();
-  ring_by_thread_[self] = ring;
+  // Leases of tracers that are gone (this thread holds the last reference)
+  // are dropped here rather than at thread exit.
+  held.erase(std::remove_if(held.begin(), held.end(),
+                            [](const auto& lease) { return lease.first.use_count() == 1; }),
+             held.end());
+  trace_internal::ThreadRing* ring;
+  {
+    MutexLock lock(pool_->mu);
+    if (!pool_->free.empty()) {
+      ring = pool_->free.back();
+      pool_->free.pop_back();
+    } else {
+      pool_->rings.push_back(std::make_unique<trace_internal::ThreadRing>(opts_.ring_slots));
+      ring = pool_->rings.back().get();
+    }
+  }
+  held.emplace_back(pool_, ring);
   return ring;
 }
 
@@ -230,8 +256,8 @@ void Tracer::FinishRequest(uint64_t trace_id, const char* root, uint64_t dur_ns,
 TraceDump Tracer::Dump() const {
   TraceDump dump;
   {
-    MutexLock lock(rings_mu_);
-    for (const auto& ring : rings_) {
+    MutexLock lock(pool_->mu);
+    for (const auto& ring : pool_->rings) {
       for (size_t i = 0; i <= ring->mask; ++i) {
         SpanRecord rec;
         if (!ReadSlot(ring->slots[i], &rec) || rec.trace_id == 0) {

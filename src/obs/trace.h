@@ -147,11 +147,21 @@ struct Slot {
 // One thread's span ring. Written only by its owner thread; read by
 // Dump() through the per-slot seqlocks.
 struct ThreadRing {
-  explicit ThreadRing(size_t slots, uint32_t tid_in);
+  explicit ThreadRing(size_t slots);
   std::unique_ptr<Slot[]> slots;
   size_t mask;    // slots count - 1 (power of two)
-  uint64_t next;  // owner-thread only
-  uint32_t tid;
+  uint64_t next;  // owner-thread only; ownership passes under RingPool::mu
+};
+
+// Every ring one tracer has created. A thread leases a ring on its first
+// span and hands it back to `free` when it exits; the next thread to take
+// it does so under `mu`, which orders the old owner's writes before the
+// new owner's. Shared with the leasing threads, so a thread that outlives
+// its tracer still has somewhere to return its ring.
+struct RingPool {
+  Mutex mu;
+  std::vector<std::unique_ptr<ThreadRing>> rings GUARDED_BY(mu);
+  std::vector<ThreadRing*> free GUARDED_BY(mu);
 };
 
 }  // namespace trace_internal
@@ -189,7 +199,7 @@ class Tracer {
 
  private:
   trace_internal::ThreadRing* Ring();
-  trace_internal::ThreadRing* RegisterRing();
+  trace_internal::ThreadRing* LeaseRing();
 
   TraceOptions opts_;
   uint64_t trace_id_base_;
@@ -198,10 +208,8 @@ class Tracer {
   std::atomic<uint64_t> next_trace_seq_{0};
   std::atomic<uint64_t> sample_seq_{0};
 
-  mutable Mutex rings_mu_;
-  std::vector<std::unique_ptr<trace_internal::ThreadRing>> rings_ GUARDED_BY(rings_mu_);
-  std::map<std::thread::id, trace_internal::ThreadRing*> ring_by_thread_
-      GUARDED_BY(rings_mu_);
+  const std::shared_ptr<trace_internal::RingPool> pool_ =
+      std::make_shared<trace_internal::RingPool>();
 
   struct FlightEntry {
     uint64_t trace_id = 0;

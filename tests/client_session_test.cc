@@ -17,9 +17,11 @@
 #include "src/net/message.h"
 #include "src/net/transport.h"
 #include "src/storage/backend.h"
+#include "src/storage/container.h"
 #include "src/util/byte_sink.h"
 #include "src/util/fs_util.h"
 #include "src/util/rng.h"
+#include "src/util/sync.h"
 
 namespace cdstore {
 namespace {
@@ -397,6 +399,153 @@ TEST(DownloadTest, FailsCleanlyWhenNoSpareCloudIsLeft) {
   transports[2] = &flaky2;
   CdstoreClient restorer(transports, 1, opts);
   EXPECT_FALSE(restorer.Download("/file").ok());
+}
+
+// Counts one cloud's RPCs by type and keeps the recipe of the last GetFile
+// reply, so a test can derive the download's batch plan independently.
+class CountingTransport : public Transport {
+ public:
+  explicit CountingTransport(Transport* inner) : inner_(inner) {}
+
+  Result<Bytes> Call(ConstByteSpan request) override {
+    MsgType type = PeekType(request);
+    ++calls_[static_cast<size_t>(type) % kNumMsgTypes];
+    auto reply = inner_->Call(request);
+    GetFileReply decoded;
+    if (type == MsgType::kGetFileRequest && reply.ok() && Decode(reply.value(), &decoded).ok()) {
+      MutexLock lock(mu_);
+      recipe_ = decoded.recipe;
+    }
+    return reply;
+  }
+
+  int calls(MsgType type) const { return calls_[static_cast<size_t>(type)].load(); }
+  std::vector<RecipeEntry> recipe() const {
+    MutexLock lock(mu_);
+    return recipe_;
+  }
+
+ private:
+  Transport* inner_;
+  std::atomic<int> calls_[kNumMsgTypes] = {};
+  mutable Mutex mu_;
+  std::vector<RecipeEntry> recipe_ GUARDED_BY(mu_);
+};
+
+struct CountedClouds {
+  std::vector<std::unique_ptr<CountingTransport>> counters;
+  std::vector<Transport*> ptrs;
+
+  explicit CountedClouds(const std::vector<Transport*>& inner) {
+    for (Transport* t : inner) {
+      counters.push_back(std::make_unique<CountingTransport>(t));
+      ptrs.push_back(counters.back().get());
+    }
+  }
+  int Total(MsgType type) const {
+    int sum = 0;
+    for (const auto& c : counters) {
+      sum += c->calls(type);
+    }
+    return sum;
+  }
+};
+
+// A file whose per-cloud shares fit one download batch restores in one
+// GetFile per used cloud and no GetShares, on both download paths.
+TEST(DownloadTest, SingleBatchFileRestoresInOneRpcPerCloud) {
+  for (bool pipelined : {true, false}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "barrier");
+    auto world = MakeDeployment();
+    ClientOptions opts = SmallOptions();
+    opts.download_batch_bytes = 4 << 20;
+    opts.pipelined_download = pipelined;
+    CdstoreClient uploader(world->TransportPtrs(), 1, opts);
+    Bytes data = Rng(101).RandomBytes(300000);
+    ASSERT_TRUE(uploader.Upload("/file", data).ok());
+
+    CountedClouds clouds(world->TransportPtrs());
+    CdstoreClient restorer(clouds.ptrs, 1, opts);
+    DownloadStats stats;
+    auto restored = restorer.Download("/file", &stats);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(restored.value(), data);
+    EXPECT_EQ(stats.clouds_used, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(clouds.Total(MsgType::kGetSharesRequest), 0);
+    EXPECT_EQ(clouds.Total(MsgType::kGetFileRequest), kK);
+    for (int c : stats.clouds_used) {
+      EXPECT_EQ(stats.per_cloud[c].rpcs, 1u) << "cloud " << c;
+      EXPECT_EQ(clouds.counters[c]->calls(MsgType::kGetFileRequest), 1) << "cloud " << c;
+    }
+  }
+}
+
+// With 32 KiB batches, each lane pays one RPC per batch: the first batch
+// rides on GetFile and every later one is a GetShares.
+TEST(DownloadTest, MultiBatchFileCostsOneRpcPerBatchPerLane) {
+  auto world = MakeDeployment();
+  ClientOptions opts = SmallOptions();
+  opts.download_batch_bytes = 32 * 1024;
+  CdstoreClient uploader(world->TransportPtrs(), 1, opts);
+  Bytes data = Rng(102).RandomBytes(600000);
+  ASSERT_TRUE(uploader.Upload("/file", data).ok());
+
+  CountedClouds clouds(world->TransportPtrs());
+  CdstoreClient restorer(clouds.ptrs, 1, opts);
+  DownloadStats stats;
+  auto restored = restorer.Download("/file", &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value(), data);
+
+  std::vector<RecipeEntry> recipe = clouds.counters[0]->recipe();
+  ASSERT_FALSE(recipe.empty());
+  size_t batches = 0;
+  for (size_t b = 0; b < recipe.size(); b = BatchEnd(recipe, b, opts.download_batch_bytes)) {
+    ++batches;
+  }
+  ASSERT_GE(batches, 3u);
+  ASSERT_EQ(stats.clouds_used.size(), static_cast<size_t>(kK));
+  for (int c : stats.clouds_used) {
+    EXPECT_EQ(stats.per_cloud[c].rpcs, batches) << "cloud " << c;
+    EXPECT_EQ(clouds.counters[c]->calls(MsgType::kGetFileRequest), 1) << "cloud " << c;
+    EXPECT_EQ(clouds.counters[c]->calls(MsgType::kGetSharesRequest),
+              static_cast<int>(batches) - 1)
+        << "cloud " << c;
+  }
+}
+
+// A cloud that lost the container holding the file's first shares fails
+// its GetFile (the prefetch cannot be served), so admission recruits the
+// spare cloud and the restore still comes back byte-identical.
+TEST(DownloadTest, MissingFirstBatchShareFailsGetFileAndRecruitsSpare) {
+  auto world = MakeDeployment();
+  ClientOptions opts = SmallOptions();
+  opts.download_batch_bytes = 32 * 1024;
+  CdstoreClient uploader(world->TransportPtrs(), 1, opts);
+  Bytes data = Rng(103).RandomBytes(400000);
+  ASSERT_TRUE(uploader.Upload("/file", data).ok());
+
+  // Reopen cloud 1 from its index and backend (no container cache), then
+  // drop the first share container from its backend.
+  ASSERT_TRUE(world->servers[1]->Flush().ok());
+  world->servers[1].reset();
+  ServerOptions so;
+  so.index_dir = world->dir.Sub("server1");
+  auto reopened = CdstoreServer::Create(world->backends[1].get(), so);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  world->servers[1] = std::move(reopened.value());
+  world->transports[1] = std::make_unique<InProcTransport>(world->servers[1]->AsHandler());
+  ASSERT_TRUE(world->backends[1]->Delete(ContainerObjectName("c", 1)).ok());
+
+  CountedClouds clouds(world->TransportPtrs());
+  CdstoreClient restorer(clouds.ptrs, 1, opts);
+  DownloadStats stats;
+  auto restored = restorer.Download("/file", &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value(), data);
+  EXPECT_EQ(stats.clouds_used, (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(clouds.counters[1]->calls(MsgType::kGetFileRequest), 1);
+  EXPECT_EQ(clouds.counters[1]->calls(MsgType::kGetSharesRequest), 0);
 }
 
 // ---------------------------------------------------- repair via session --

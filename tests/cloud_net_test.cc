@@ -8,6 +8,7 @@
 #include "src/net/message.h"
 #include "src/net/tcp.h"
 #include "src/net/transport.h"
+#include "src/util/io.h"
 #include "src/util/rng.h"
 
 namespace cdstore {
@@ -133,6 +134,118 @@ TEST(MessageTest, PutFileAndGetFileRoundTrip) {
   GetFileReply reply_back;
   ASSERT_TRUE(Decode(Encode(reply), &reply_back).ok());
   EXPECT_EQ(reply_back.recipe.size(), req.recipe.size());
+}
+
+std::vector<RecipeEntry> SampleRecipe(int entries, uint32_t share_size) {
+  std::vector<RecipeEntry> recipe;
+  for (int i = 0; i < entries; ++i) {
+    recipe.push_back({FingerprintOf(Bytes{static_cast<uint8_t>(i)}), 3 * share_size,
+                      share_size});
+  }
+  return recipe;
+}
+
+TEST(MessageTest, GetFileRoundTripsWithAndWithoutPrefetch) {
+  GetFileRequest req;
+  req.user = 4;
+  req.path_key = BytesOf("pathshare");
+  req.generation = 9;
+  req.prefetch_bytes = 4 << 20;
+  GetFileRequest req_back;
+  ASSERT_TRUE(Decode(Encode(req), &req_back).ok());
+  EXPECT_EQ(req_back.user, 4u);
+  EXPECT_EQ(req_back.path_key, req.path_key);
+  EXPECT_EQ(req_back.generation, 9u);
+  EXPECT_EQ(req_back.prefetch_bytes, uint64_t{4} << 20);
+
+  GetFileReply reply;
+  reply.generation_id = 3;
+  reply.file_size = 5000;
+  reply.recipe = SampleRecipe(5, 100);
+  // Without prefetched shares.
+  Bytes bare = Encode(reply);
+  GetFileReply back;
+  ASSERT_TRUE(Decode(bare, &back).ok());
+  EXPECT_EQ(back.generation_id, 3u);
+  EXPECT_EQ(back.recipe.size(), 5u);
+  EXPECT_TRUE(back.shares.empty());
+  EXPECT_EQ(Encode(back), bare);
+
+  // With the first two shares prefetched: spans point into the frame.
+  Bytes s0 = Rng(5).RandomBytes(100);
+  Bytes s1 = Rng(6).RandomBytes(100);
+  reply.shares = {s0, s1};
+  Bytes full = Encode(reply);
+  ASSERT_TRUE(Decode(full, &back).ok());
+  EXPECT_EQ(back.recipe.size(), 5u);
+  ASSERT_EQ(back.shares.size(), 2u);
+  EXPECT_EQ(Bytes(back.shares[0].begin(), back.shares[0].end()), s0);
+  EXPECT_EQ(Bytes(back.shares[1].begin(), back.shares[1].end()), s1);
+  for (ConstByteSpan span : back.shares) {
+    EXPECT_GE(span.data(), full.data());
+    EXPECT_LE(span.data() + span.size(), full.data() + full.size());
+  }
+  EXPECT_EQ(Encode(back), full);
+}
+
+// Peers that predate the prefetch: a request without the trailing field
+// asks for no shares, and a reply without the trailing list carries none.
+TEST(MessageTest, PreChangeGetFileFramesDecode) {
+  BufferWriter w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kGetFileRequest));
+  w.PutU64(4);
+  w.PutBytes(BytesOf("pathshare"));
+  w.PutU64(9);
+  GetFileRequest req;
+  req.prefetch_bytes = 123;
+  ASSERT_TRUE(Decode(w.Take(), &req).ok());
+  EXPECT_EQ(req.user, 4u);
+  EXPECT_EQ(req.generation, 9u);
+  EXPECT_EQ(req.prefetch_bytes, 0u);
+
+  GetFileReply reply;
+  reply.file_size = 300;
+  reply.recipe = SampleRecipe(3, 100);
+  BufferWriter old_reply = BeginFileReply(reply);  // no share list at all
+  GetFileReply back;
+  ASSERT_TRUE(Decode(old_reply.Take(), &back).ok());
+  EXPECT_EQ(back.recipe.size(), 3u);
+  EXPECT_TRUE(back.shares.empty());
+}
+
+// A hostile reply's share count is checked against the frame before
+// anything is reserved, and may not exceed the recipe it prefetches from.
+TEST(MessageTest, GetFileReplyWithImpossibleShareCountIsCorruption) {
+  GetFileReply reply;
+  reply.recipe = SampleRecipe(3, 100);
+  BufferWriter huge = BeginFileReply(reply);
+  huge.PutVarint(uint64_t{1} << 60);
+  huge.PutBytes(BytesOf("one share"));
+  GetFileReply back;
+  EXPECT_EQ(Decode(huge.Take(), &back).code(), StatusCode::kCorruption);
+
+  BufferWriter extra = BeginFileReply(reply);
+  extra.PutVarint(4);
+  for (int i = 0; i < 4; ++i) {
+    extra.PutBytes(BytesOf("s"));
+  }
+  EXPECT_EQ(Decode(extra.Take(), &back).code(), StatusCode::kCorruption);
+
+  // Truncated mid-share: the length prefix overruns the frame.
+  const Bytes share = BytesOf("abcdefgh");
+  reply.shares = {share};
+  Bytes cut = Encode(reply);
+  cut.resize(cut.size() - 3);
+  EXPECT_EQ(Decode(cut, &back).code(), StatusCode::kCorruption);
+}
+
+TEST(MessageTest, BatchEndAccumulatesUntilTheBudget) {
+  std::vector<RecipeEntry> recipe = SampleRecipe(10, 100);
+  EXPECT_EQ(BatchEnd(recipe, 0, 250), 3u);   // 100, 200, 300 >= 250
+  EXPECT_EQ(BatchEnd(recipe, 3, 300), 6u);   // exactly the budget
+  EXPECT_EQ(BatchEnd(recipe, 8, 1000), 10u); // runs out of entries
+  EXPECT_EQ(BatchEnd(recipe, 4, 0), 5u);     // never empty
+  EXPECT_EQ(BatchEnd(recipe, 10, 100), 10u); // nothing left
 }
 
 TEST(MessageTest, ErrorsCarryStatus) {

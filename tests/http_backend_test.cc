@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <string>
 #include <chrono>
 #include <thread>
 #include <vector>
 
 #include "src/net/faulty_http_server.h"
+#include "src/net/http.h"
 #include "src/storage/http_backend.h"
 #include "src/util/rng.h"
 
@@ -210,6 +215,52 @@ TEST(HttpBackendTest, UploadRateLimiterPacesTransfers) {
   ASSERT_TRUE((*backend)->Put("obj", Bytes(32 * 1024, 0xAB)).ok());
   // 32KB through a 64KB/s bucket with a 4KB burst: >= ~430ms of pacing.
   EXPECT_GE(ElapsedMs(start), 200u);
+}
+
+// A hostile cloud announcing a 1 TiB body must get an error back before the
+// client sizes a buffer for it: resizing to the announced length would
+// abort the process instead of failing the call.
+TEST(HttpClientTest, OversizedResponseBodyIsRejectedBeforeAllocation) {
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int port = ntohs(addr.sin_port);
+
+  std::atomic<int> accepted{0};
+  std::thread server([&]() {
+    int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) {
+      return;
+    }
+    ++accepted;
+    std::string head;
+    char c;
+    while (head.find("\r\n\r\n") == std::string::npos && ::read(fd, &c, 1) == 1) {
+      head.push_back(c);
+    }
+    const std::string reply =
+        "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nfirst bytes";
+    (void)!::write(fd, reply.data(), reply.size());
+    ::shutdown(fd, SHUT_WR);
+    while (::read(fd, &c, 1) == 1) {
+    }
+    ::close(fd);
+  });
+
+  HttpClient client("127.0.0.1", port);
+  auto resp = client.Do("GET", "/b/obj", {}, /*deadline_ms=*/5000);
+  EXPECT_EQ(resp.status().code(), StatusCode::kCorruption) << resp.status();
+  EXPECT_EQ(client.requests_sent(), 1u);  // a hostile reply is not retried
+  server.join();
+  ::close(listen_fd);
+  EXPECT_EQ(accepted.load(), 1);
 }
 
 }  // namespace

@@ -431,6 +431,118 @@ TEST_F(ServerServiceTest, TcpFrontEndDispatchesTypedService) {
   tcp.value()->Stop();
 }
 
+// Uploads `shares` for `user` and binds them as one file at `path`.
+void StoreFile(ServerService& server, UserId user, const std::string& path,
+               const std::vector<Bytes>& shares) {
+  for (const Bytes& share : shares) {
+    UploadSharesRequest up;
+    up.user = user;
+    up.shares = {share};
+    ASSERT_TRUE(DecodeIfError(Dispatch(server, Encode(up))).ok());
+  }
+  PutFileRequest put;
+  put.user = user;
+  put.path_key = BytesOf(path);
+  put.recipe = RecipeFor(shares);
+  for (const Bytes& share : shares) {
+    put.file_size += share.size();
+  }
+  ASSERT_TRUE(DecodeIfError(Dispatch(server, Encode(put))).ok());
+}
+
+// GetFile's first batch goes through the same ownership-checked fetch as
+// GetShares: the prefetched shares are byte-identical to a GetShares of
+// the same fingerprints, the streamed frame equals the encoder's, and a
+// request without a budget gets the recipe alone.
+TEST_F(ServerServiceTest, GetFilePrefetchMatchesGetShares) {
+  MemBackend backend;
+  auto server = NewServer(&backend, "prefetch");
+  const UserId user = 5;
+  std::vector<Bytes> shares;
+  for (int i = 0; i < 6; ++i) {
+    shares.push_back(MakeShare(700 + i));
+  }
+  StoreFile(*server, user, "prefetch-path", shares);
+
+  GetFileRequest req;
+  req.user = user;
+  req.path_key = BytesOf("prefetch-path");
+  req.prefetch_bytes = 1500;  // 600 + 600 + 600 >= 1500: three shares
+  Bytes frame = Dispatch(*server, Encode(req));
+  GetFileReply reply;
+  ASSERT_TRUE(Decode(frame, &reply).ok()) << DecodeIfError(frame);
+  ASSERT_EQ(reply.recipe.size(), shares.size());
+  ASSERT_EQ(reply.shares.size(), BatchEnd(reply.recipe, 0, req.prefetch_bytes));
+  ASSERT_EQ(reply.shares.size(), 3u);
+  EXPECT_EQ(frame, Encode(reply));
+
+  GetSharesRequest get;
+  get.user = user;
+  for (size_t i = 0; i < reply.shares.size(); ++i) {
+    get.fps.push_back(reply.recipe[i].fp);
+  }
+  Bytes shares_frame = Dispatch(*server, Encode(get));
+  std::vector<ConstByteSpan> fetched;
+  ASSERT_TRUE(DecodeShareSpans(shares_frame, &fetched).ok());
+  ASSERT_EQ(fetched.size(), reply.shares.size());
+  for (size_t i = 0; i < fetched.size(); ++i) {
+    EXPECT_EQ(Bytes(reply.shares[i].begin(), reply.shares[i].end()),
+              Bytes(fetched[i].begin(), fetched[i].end()));
+    EXPECT_EQ(Bytes(fetched[i].begin(), fetched[i].end()), shares[i]);
+  }
+
+  req.prefetch_bytes = 0;
+  frame = Dispatch(*server, Encode(req));
+  ASSERT_TRUE(Decode(frame, &reply).ok());
+  EXPECT_EQ(reply.recipe.size(), shares.size());
+  EXPECT_TRUE(reply.shares.empty());
+
+  // Another user resolves no file at this path, prefetch or not.
+  req.user = user + 1;
+  req.prefetch_bytes = 1 << 20;
+  EXPECT_EQ(DecodeIfError(Dispatch(*server, Encode(req))).code(), StatusCode::kNotFound);
+}
+
+// A client asking for an unbounded prefetch gets a first batch clamped to
+// fit the frame cap, delivered intact through the TCP front end (whose
+// reader rejects frames over kMaxFrameBytes).
+TEST_F(ServerServiceTest, GetFileClampsPrefetchToTheFrameCap) {
+  MemBackend backend;
+  auto server = NewServer(&backend, "clamp");
+  const UserId user = 6;
+  std::vector<Bytes> shares;
+  for (int i = 0; i < 7; ++i) {
+    shares.push_back(MakeShare(800 + i, 6 << 20));  // 42 MiB in all
+  }
+  StoreFile(*server, user, "big-path", shares);
+  auto tcp = TcpServer::Listen(0, server.get());
+  ASSERT_TRUE(tcp.ok());
+  auto t = TcpTransport::Connect("127.0.0.1", tcp.value()->port());
+  ASSERT_TRUE(t.ok());
+
+  GetFileRequest req;
+  req.user = user;
+  req.path_key = BytesOf("big-path");
+  req.prefetch_bytes = UINT64_MAX;
+  auto frame = t.value()->Call(Encode(req));
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  ASSERT_TRUE(DecodeIfError(frame.value()).ok()) << DecodeIfError(frame.value());
+  GetFileReply reply;
+  ASSERT_TRUE(Decode(frame.value(), &reply).ok());
+  EXPECT_LE(frame.value().size(), kMaxFrameBytes);
+  const size_t head = BeginFileReply(reply).size();
+  const size_t expect = BatchEnd(reply.recipe, 0, (kMaxFrameBytes - head) / 2);
+  EXPECT_EQ(reply.shares.size(), expect);
+  EXPECT_GT(reply.shares.size(), 0u);
+  EXPECT_LT(reply.shares.size(), shares.size()) << "the budget was not clamped";
+  for (size_t i = 0; i < reply.shares.size(); ++i) {
+    EXPECT_TRUE(std::equal(reply.shares[i].begin(), reply.shares[i].end(),
+                           shares[i].begin(), shares[i].end()))
+        << "share " << i;
+  }
+  tcp.value()->Stop();
+}
+
 // Flush() must surface container-seal failures instead of dropping them,
 // and a later flush retries the still-open containers.
 TEST_F(ServerServiceTest, FlushPropagatesContainerSealErrors) {

@@ -405,6 +405,46 @@ TEST(TraceRaceTest, ConcurrentRecordAndDump) {
   EXPECT_EQ(tracer.spans_recorded(), 4u * 2000u * 2u);
 }
 
+// A thread that exits hands its ring to the next thread that records. Two
+// spawners take turns starting one short-lived recorder each, and pass the
+// turn with relaxed atomics so nothing but the tracer itself orders one
+// recorder's writes before the next one's reads (the TSAN target: a
+// recorder reusing an exited thread's id used to read that thread's ring
+// position unordered). Each recorder starts after the last one exited, so
+// one ring serves them all.
+TEST(TraceRaceTest, ShortLivedThreadsReuseOneRingInTurn) {
+  TraceOptions opts;
+  opts.ring_slots = 8;
+  Tracer tracer(opts);
+  constexpr int kRecorders = 40;
+  constexpr int kSpansEach = 3;
+  std::atomic<int> turn{0};
+  auto spawner = [&](int parity) {
+    for (int i = parity; i < kRecorders; i += 2) {
+      while (turn.load(std::memory_order_relaxed) != i) {
+        std::this_thread::yield();
+      }
+      std::thread recorder([&] {
+        TraceRequest req(&tracer, "req");
+        ScopedTraceParent parent(req.context());
+        for (int s = 0; s < kSpansEach - 1; ++s) {
+          ScopedSpan span(&tracer, "work");
+        }
+      });
+      recorder.join();
+      turn.store(i + 1, std::memory_order_relaxed);
+    }
+  };
+  std::thread even(spawner, 0);
+  std::thread odd(spawner, 1);
+  even.join();
+  odd.join();
+  TraceDump dump = tracer.Dump();
+  EXPECT_EQ(tracer.spans_recorded(), uint64_t{kRecorders * kSpansEach});
+  EXPECT_EQ(dump.spans.size(), 8u);
+  EXPECT_EQ(dump.spans_dropped, uint64_t{kRecorders * kSpansEach - 8});
+}
+
 // ------------------------------------------- end-to-end (the acceptance)
 
 TEST(TraceEndToEndTest, TracedUploadYieldsOneConnectedTrace) {
