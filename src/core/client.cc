@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <set>
@@ -450,10 +451,49 @@ Status CdstoreClient::Upload(const std::string& path_name, ConstByteSpan data,
   return st.ok() ? close : st;
 }
 
+template <typename Reply>
+Result<Reply> CdstoreClient::CallDecoded(int cloud, const Bytes& frame) {
+  ASSIGN_OR_RETURN(Bytes reply_frame, CallCloud(cloud, frame));
+  RETURN_IF_ERROR(DecodeIfError(reply_frame));
+  Reply reply;
+  RETURN_IF_ERROR(Decode(reply_frame, &reply));
+  return reply;
+}
+
+Result<uint64_t> CdstoreClient::CommitUpload(int cloud, UploadSharesRequest last,
+                                             PutFileRequest put, uint64_t* rpcs) {
+  put.query_from.reset();
+  if (!last.shares.empty()) {
+    last.commit = std::move(put);
+    Bytes frame = Encode(last);
+    if (frame.size() + kTracedEnvelopeBytes <= kMaxFrameBytes) {
+      ++*rpcs;
+      ASSIGN_OR_RETURN(UploadSharesReply reply, CallDecoded<UploadSharesReply>(cloud, frame));
+      if (!reply.generation_id.has_value()) {
+        // A server that predates the riding commit acks the shares and
+        // drops the trailing bytes: the file was never committed.
+        return Status::Internal("UploadShares reply carries no generation for its commit");
+      }
+      return *reply.generation_id;
+    }
+    // Shares plus recipe would overflow one frame: the batch goes alone.
+    put = std::move(*last.commit);
+    last.commit.reset();
+    ++*rpcs;
+    RETURN_IF_ERROR(CallDecoded<UploadSharesReply>(cloud, Encode(last)).status());
+  }
+  ++*rpcs;
+  ASSIGN_OR_RETURN(PutFileReply reply, CallDecoded<PutFileReply>(cloud, Encode(put)));
+  return reply.generation_id;
+}
+
 // Streaming uploader lane (§4.6): consumes encoded shares in recipe order
-// and interleaves dedup queries, batched transfers, and the final recipe
-// put. Pending shares accumulate until stream_batch_bytes, then one FpQuery
+// and interleaves dedup queries, batched transfers, and the file's commit.
+// Pending shares accumulate until stream_batch_bytes, then one FpQuery
 // settles their dedup status and the unique ones join the transfer batch.
+// The commit rides on the last transfer batch; a file with no unique share
+// found by stream end instead sends a conditional PutFile, which doubles
+// as the tail dedup query.
 Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& path_key,
                                           const Bytes* path_id, uint32_t path_name_len,
                                           const uint64_t* file_size,
@@ -462,7 +502,16 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
                                           const std::atomic<bool>* abort_upload,
                                           UploadStats* stats, Mutex* stats_mu,
                                           uint64_t* bound_generation) {
-  std::vector<RecipeEntry> recipe;
+  // The file's commit; its recipe grows in stream order.
+  PutFileRequest put;
+  put.user = user_;
+  put.path_key = path_key;
+  put.path_id = *path_id;
+  put.path_name_len = path_name_len;
+  put.mode = fopts->mode;
+  put.generation_id = fopts->generation_id;
+  put.timestamp_ms = fopts->timestamp_ms;
+  std::vector<RecipeEntry>& recipe = put.recipe;
   std::unordered_set<Fingerprint, FingerprintHash> in_flight;
   uint64_t transferred = 0;
   uint64_t dup = 0;
@@ -498,10 +547,7 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
       // The async hop loses the thread-local trace parent; re-install the
       // launcher's so the transfer RPC nests under this lane's span.
       ScopedTraceParent trace_parent(ctx);
-      ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(*req)));
-      RETURN_IF_ERROR(DecodeIfError(frame));
-      UploadSharesReply r;
-      return Decode(frame, &r);
+      return CallDecoded<UploadSharesReply>(cloud, Encode(*req)).status();
     });
     return Status::Ok();
   };
@@ -514,8 +560,8 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
   // are identical to the fully synchronous protocol.
   struct QueryWindow {
     std::vector<Bytes> shares;
-    std::vector<Fingerprint> fps;
-    std::future<Result<Bytes>> reply_frame;
+    size_t base = 0;  // recipe index of shares[0]
+    std::future<Result<FpQueryReply>> reply;
   };
   std::vector<Bytes> pending_shares;
   size_t pending_base = 0;
@@ -536,53 +582,61 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
     }
     QueryWindow w;
     w.shares = std::move(pending_shares);
-    w.fps.reserve(w.shares.size());
-    for (size_t j = 0; j < w.shares.size(); ++j) {
-      w.fps.push_back(recipe[pending_base + j].fp);
-    }
+    w.base = pending_base;
     FpQueryRequest query;
     query.user = user_;
-    query.fps = w.fps;
+    query.fps.reserve(w.shares.size());
+    for (size_t j = 0; j < w.shares.size(); ++j) {
+      query.fps.push_back(recipe[w.base + j].fp);
+    }
     ++rpcs;
-    w.reply_frame =
-        std::async(std::launch::async, [this, cloud, query = std::move(query),
-                                        ctx = CurrentTraceContext()]() {
-          ScopedTraceParent trace_parent(ctx);
-          return CallCloud(cloud, Encode(query));
-        });
+    w.reply = std::async(std::launch::async, [this, cloud, query = std::move(query),
+                                              ctx = CurrentTraceContext()]() {
+      ScopedTraceParent trace_parent(ctx);
+      return CallDecoded<FpQueryReply>(cloud, Encode(query));
+    });
     query_windows.push_back(std::move(w));
     pending_shares.clear();
     pending_base = recipe.size();
     pending_bytes = 0;
   };
 
-  // Settles the oldest outstanding query window: unique shares join the
-  // transfer batch.
-  auto settle_query = [&]() -> Status {
-    QueryWindow w = std::move(query_windows.front());
-    query_windows.pop_front();
-    ASSIGN_OR_RETURN(Bytes reply_frame, w.reply_frame.get());
-    RETURN_IF_ERROR(DecodeIfError(reply_frame));
-    FpQueryReply reply;
-    RETURN_IF_ERROR(Decode(reply_frame, &reply));
-    if (reply.duplicate.size() != w.fps.size()) {
-      return Status::Internal("fp query reply arity mismatch");
+  // Applies one dedup answer (an FpQuery's, or a conditional PutFile's) to
+  // `shares` = recipe[base, base + shares.size()): unique shares join the
+  // transfer batch. Mid-stream a batch is flushed as soon as it fills; at
+  // stream end (`at_end`) only once another share needs room, so the
+  // file's last non-empty batch stays in `batch` to carry the commit.
+  auto apply_answer = [&](std::vector<Bytes>& shares, size_t base,
+                          const std::vector<uint8_t>& duplicate, bool at_end) -> Status {
+    if (duplicate.size() != shares.size()) {
+      return Status::Internal("dedup answer arity mismatch");
     }
-    for (size_t j = 0; j < w.shares.size(); ++j) {
-      if (reply.duplicate[j] != 0 || in_flight.count(w.fps[j]) > 0) {
+    for (size_t j = 0; j < shares.size(); ++j) {
+      const Fingerprint& fp = recipe[base + j].fp;
+      if (duplicate[j] != 0 || in_flight.count(fp) > 0) {
         ++dup;
         continue;
       }
-      in_flight.insert(w.fps[j]);
-      size_t share_size = w.shares[j].size();
-      batch.shares.push_back(std::move(w.shares[j]));
+      if (at_end && batch_bytes >= opts_.stream_batch_bytes) {
+        RETURN_IF_ERROR(flush_batch());
+      }
+      in_flight.insert(fp);
+      size_t share_size = shares[j].size();
+      batch.shares.push_back(std::move(shares[j]));
       batch_bytes += share_size;
       transferred += share_size;
-      if (batch_bytes >= opts_.stream_batch_bytes) {
+      if (!at_end && batch_bytes >= opts_.stream_batch_bytes) {
         RETURN_IF_ERROR(flush_batch());
       }
     }
     return Status::Ok();
+  };
+  // Settles the oldest outstanding query window.
+  auto settle_query = [&](bool at_end) -> Status {
+    QueryWindow w = std::move(query_windows.front());
+    query_windows.pop_front();
+    ASSIGN_OR_RETURN(FpQueryReply reply, w.reply.get());
+    return apply_answer(w.shares, w.base, reply.duplicate, at_end);
   };
 
   Status st;
@@ -600,7 +654,7 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
     if (pending_bytes >= next_flush_bytes) {
       next_flush_bytes = opts_.stream_batch_bytes;
       if (!query_windows.empty()) {
-        st = settle_query();
+        st = settle_query(/*at_end=*/false);
         if (!st.ok()) {
           // Stop gating the encode stage: this cloud abandons the stream.
           in->Detach(consumer);
@@ -621,42 +675,56 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
     return Status::Internal("upload aborted: encode stream failed");
   }
 
-  start_query();
-  while (st.ok() && !query_windows.empty()) {
-    st = settle_query();
-  }
-  if (st.ok()) {
-    st = flush_batch();
-  }
-  if (st.ok()) {
-    st = wait_inflight();
-  }
-  if (st.ok()) {
-    PutFileRequest put;
-    put.user = user_;
-    put.path_key = path_key;
-    put.path_id = *path_id;
-    put.path_name_len = path_name_len;
-    put.file_size = *file_size;  // written by the writer before pool close
-    put.mode = fopts->mode;
-    put.generation_id = fopts->generation_id;
-    put.timestamp_ms = fopts->timestamp_ms;
-    put.recipe = std::move(recipe);
+  put.file_size = *file_size;  // written by the writer before pool close
+  std::optional<uint64_t> generation;
+  if (batch.shares.empty() && !inflight.valid()) {
+    // No share has been found unique yet, so the file may already be held
+    // whole: skip the tail FpQuery and send a conditional PutFile over
+    // every unsettled share (outstanding windows plus the tail). It commits
+    // if this user owns them all, and otherwise answers as FpQuery would;
+    // the outstanding windows' answers are then superseded.
+    const size_t query_from = query_windows.empty() ? pending_base : query_windows.front().base;
+    put.query_from = query_from;
     ++rpcs;
-    st = [&]() -> Status {
-      ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(put)));
-      RETURN_IF_ERROR(DecodeIfError(frame));
-      PutFileReply put_reply;
-      RETURN_IF_ERROR(Decode(frame, &put_reply));
-      if (bound_generation != nullptr) {
-        *bound_generation = put_reply.generation_id;
+    Result<PutFileReply> answer = CallDecoded<PutFileReply>(cloud, Encode(put));
+    std::vector<Bytes> unsettled;
+    unsettled.reserve(recipe.size() - query_from);
+    for (QueryWindow& w : query_windows) {
+      (void)w.reply.get();
+      std::move(w.shares.begin(), w.shares.end(), std::back_inserter(unsettled));
+    }
+    query_windows.clear();
+    std::move(pending_shares.begin(), pending_shares.end(), std::back_inserter(unsettled));
+    if (!answer.ok()) {
+      st = answer.status();
+    } else if (!answer.value().duplicate.has_value()) {
+      dup += unsettled.size();
+      generation = answer.value().generation_id;
+    } else {
+      st = apply_answer(unsettled, query_from, *answer.value().duplicate, /*at_end=*/true);
+    }
+  } else {
+    start_query();
+    while (st.ok() && !query_windows.empty()) {
+      st = settle_query(/*at_end=*/true);
+    }
+  }
+  if (st.ok() && !generation.has_value()) {
+    st = wait_inflight();
+    if (st.ok()) {
+      Result<uint64_t> committed = CommitUpload(cloud, std::move(batch), std::move(put), &rpcs);
+      st = committed.status();
+      if (committed.ok()) {
+        generation = committed.value();
       }
-      return Status::Ok();
-    }();
+    }
   }
   if (!st.ok()) {
     in->Detach(consumer);
     return st;
+  }
+  if (bound_generation != nullptr) {
+    *bound_generation = *generation;
   }
   if (stats != nullptr) {
     MutexLock lock(*stats_mu);
@@ -684,68 +752,9 @@ Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Byte
                                     uint64_t* bound_generation) {
   uint64_t rpcs = 0;
 
-  // 1. Intra-user dedup query (§3.3).
-  FpQueryRequest query;
-  query.user = user_;
-  query.fps.reserve(recipe.size());
-  for (const RecipeEntry& e : recipe) {
-    query.fps.push_back(e.fp);
-  }
-  ++rpcs;
-  ASSIGN_OR_RETURN(Bytes reply_frame, CallCloud(cloud, Encode(query)));
-  RETURN_IF_ERROR(DecodeIfError(reply_frame));
-  FpQueryReply query_reply;
-  RETURN_IF_ERROR(Decode(reply_frame, &query_reply));
-  if (query_reply.duplicate.size() != recipe.size()) {
-    return Status::Internal("fp query reply arity mismatch");
-  }
-
-  // Deduplicate within this upload as well: identical secrets produce
-  // identical shares, and only the first instance needs transfer.
-  std::vector<uint8_t> send(recipe.size(), 0);
-  std::unordered_set<Fingerprint, FingerprintHash> in_flight;
-  uint64_t transferred = 0;
-  uint64_t dup = 0;
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (query_reply.duplicate[i] != 0 || in_flight.count(recipe[i].fp) > 0) {
-      ++dup;
-      continue;
-    }
-    send[i] = 1;
-    in_flight.insert(recipe[i].fp);
-  }
-
-  // 2. Upload unique shares in 4MB batches (§4.1).
-  UploadSharesRequest batch;
-  batch.user = user_;
-  size_t batch_bytes = 0;
-  auto flush_batch = [&]() -> Status {
-    if (batch.shares.empty()) {
-      return Status::Ok();
-    }
-    ++rpcs;
-    ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(batch)));
-    RETURN_IF_ERROR(DecodeIfError(frame));
-    UploadSharesReply r;
-    RETURN_IF_ERROR(Decode(frame, &r));
-    batch.shares.clear();
-    batch_bytes = 0;
-    return Status::Ok();
-  };
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (send[i] == 0) {
-      continue;
-    }
-    batch.shares.push_back(*shares[i]);
-    batch_bytes += shares[i]->size();
-    transferred += shares[i]->size();
-    if (batch_bytes >= opts_.upload_batch_bytes) {
-      RETURN_IF_ERROR(flush_batch());
-    }
-  }
-  RETURN_IF_ERROR(flush_batch());
-
-  // 3. Finalize: metadata + recipe (§4.3).
+  // 1. A conditional PutFile doubles as the intra-user dedup query
+  // (§3.3): a file this user already holds whole commits right here, and
+  // any other gets FpQuery's answer for the whole recipe.
   PutFileRequest put;
   put.user = user_;
   put.path_key = path_key;
@@ -756,13 +765,57 @@ Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Byte
   put.generation_id = fopts.generation_id;
   put.timestamp_ms = fopts.timestamp_ms;
   put.recipe = recipe;
+  put.query_from = 0;
   ++rpcs;
-  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(put)));
-  RETURN_IF_ERROR(DecodeIfError(frame));
-  PutFileReply put_reply;
-  RETURN_IF_ERROR(Decode(frame, &put_reply));
+  ASSIGN_OR_RETURN(PutFileReply answer, CallDecoded<PutFileReply>(cloud, Encode(put)));
+  std::vector<uint8_t> duplicate =
+      answer.duplicate.value_or(std::vector<uint8_t>(recipe.size(), 1));
+  if (duplicate.size() != recipe.size()) {
+    return Status::Internal("dedup answer arity mismatch");
+  }
+
+  // Deduplicate within this upload as well: identical secrets produce
+  // identical shares, and only the first instance needs transfer.
+  std::vector<uint8_t> send(recipe.size(), 0);
+  std::unordered_set<Fingerprint, FingerprintHash> in_flight;
+  uint64_t transferred = 0;
+  uint64_t dup = 0;
+  for (size_t i = 0; i < recipe.size(); ++i) {
+    if (duplicate[i] != 0 || in_flight.count(recipe[i].fp) > 0) {
+      ++dup;
+      continue;
+    }
+    send[i] = 1;
+    in_flight.insert(recipe[i].fp);
+  }
+
+  uint64_t generation = answer.generation_id;
+  if (answer.duplicate.has_value()) {
+    // 2. Upload unique shares in 4MB batches (§4.1). A full batch goes out
+    // only once another share needs room, so the last one is still here to
+    // carry the commit (§4.3 metadata + recipe).
+    UploadSharesRequest batch;
+    batch.user = user_;
+    size_t batch_bytes = 0;
+    for (size_t i = 0; i < recipe.size(); ++i) {
+      if (send[i] == 0) {
+        continue;
+      }
+      if (batch_bytes >= opts_.upload_batch_bytes) {
+        ++rpcs;
+        RETURN_IF_ERROR(CallDecoded<UploadSharesReply>(cloud, Encode(batch)).status());
+        batch.shares.clear();
+        batch_bytes = 0;
+      }
+      batch.shares.push_back(*shares[i]);
+      batch_bytes += shares[i]->size();
+      transferred += shares[i]->size();
+    }
+    // 3. Finalize.
+    ASSIGN_OR_RETURN(generation, CommitUpload(cloud, std::move(batch), std::move(put), &rpcs));
+  }
   if (bound_generation != nullptr) {
-    *bound_generation = put_reply.generation_id;
+    *bound_generation = generation;
   }
 
   if (stats != nullptr) {

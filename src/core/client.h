@@ -435,9 +435,21 @@ class CdstoreClient {
   // off or delta is 0.
   void CountCloud(const char* name, int cloud, uint64_t delta);
 
+  // CallCloud, then the reply frame decoded as `Reply` (a kError frame
+  // becomes its status). For replies that hold no spans into the frame.
+  template <typename Reply>
+  Result<Reply> CallDecoded(int cloud, const Bytes& frame);
+  // Commits a file on `cloud` once every earlier batch is acked: `last`,
+  // the file's last non-empty share batch, carries `put` (sent
+  // unconditionally). With no batch, or when shares plus recipe would not
+  // fit one frame, the commit goes out as a plain PutFile. Counts its RPCs
+  // into *rpcs and returns the bound generation id.
+  Result<uint64_t> CommitUpload(int cloud, UploadSharesRequest last, PutFileRequest put,
+                                uint64_t* rpcs);
+
   // One uploader lane: consumer `consumer` of `in`, uploading each bundle's
   // share for `cloud`, interleaving dedup queries, batched share transfer,
-  // and finally the recipe put (bound per `fopts`). `file_size` is read
+  // and finally the file's commit (bound per `fopts`). `file_size` is read
   // only after the stream drains (the writer knows it by then). If
   // `abort_upload` is set by the time the stream drains (encode failure or
   // writer abandoned), finalization is skipped so a truncated recipe is

@@ -288,43 +288,53 @@ std::vector<SharedMutex*> CdstoreServer::StripesFor(const std::vector<Fingerprin
   return mus;
 }
 
-void CdstoreServer::FpQuery(const FpQueryRequest& req, ReplyBuilder& rb) {
-  ReaderMutexLock ops(ops_mu_);
-  CountUser("cdstore_server_user_requests_total", req.user);
-  FpQueryReply reply;
-  reply.duplicate.resize(req.fps.size(), 0);
+template <typename FpAt>
+Status CdstoreServer::QueryOwned(UserId user, size_t count, FpAt fp_at,
+                                 std::vector<uint8_t>* duplicate) {
+  duplicate->assign(count, 0);
   uint64_t dup_hits = 0;
   // Per-fingerprint timing only when metrics are on (two clock reads per
   // fingerprint otherwise wasted); the histogram is split by which accel
   // layer answered, so the bloom/cache/LSM cost structure shows up
   // directly in cdstore_dedup_fpquery_ns{outcome=...}.
   const bool timed = metrics_.fpquery_ns[0] != nullptr;
-  for (size_t i = 0; i < req.fps.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     // Intra-user dedup (§3.3): the answer reveals only whether THIS user
     // already uploaded the share — never other users' holdings, which
     // defeats the side-channel attack of [28].
-    ContendedReaderLock stripe(stripes_[StripeOf(req.fps[i])].mu,
-                               metrics_.stripe_contention);
+    const Fingerprint& fp = fp_at(i);
+    ContendedReaderLock stripe(stripes_[StripeOf(fp)].mu, metrics_.stripe_contention);
     AccelOutcome outcome = AccelOutcome::kLsm;
     std::chrono::steady_clock::time_point t0;
     if (timed) {
       t0 = std::chrono::steady_clock::now();
     }
-    auto has = share_index_.UserHasShare(req.fps[i], req.user, &outcome);
+    auto has = share_index_.UserHasShare(fp, user, &outcome);
     if (timed) {
       metrics_.fpquery_ns[static_cast<size_t>(outcome)]->Observe(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count()));
     }
-    if (!has.ok()) {
-      rb.SendError(has.status());
-      return;
-    }
-    reply.duplicate[i] = has.value() ? 1 : 0;
-    dup_hits += reply.duplicate[i];
+    RETURN_IF_ERROR(has.status());
+    (*duplicate)[i] = has.value() ? 1 : 0;
+    dup_hits += (*duplicate)[i];
   }
-  CountUser("cdstore_server_user_dedup_hits_total", req.user, dup_hits);
+  CountUser("cdstore_server_user_dedup_hits_total", user, dup_hits);
+  return Status::Ok();
+}
+
+void CdstoreServer::FpQuery(const FpQueryRequest& req, ReplyBuilder& rb) {
+  ReaderMutexLock ops(ops_mu_);
+  CountUser("cdstore_server_user_requests_total", req.user);
+  FpQueryReply reply;
+  if (Status st = QueryOwned(
+          req.user, req.fps.size(), [&](size_t i) -> const Fingerprint& { return req.fps[i]; },
+          &reply.duplicate);
+      !st.ok()) {
+    rb.SendError(st);
+    return;
+  }
   rb.Send(reply);
 }
 
@@ -459,15 +469,61 @@ void CdstoreServer::UploadShares(const UploadSharesRequestView& req, ReplyBuilde
   reply.stored = stored;
   CountUser("cdstore_server_user_dedup_hits_total", req.user, reply.deduplicated);
   CountUser("cdstore_server_user_shares_stored_total", req.user, reply.stored);
+  if (req.commit.has_value()) {
+    // The file's commit rides on its last batch. A failed commit fails the
+    // RPC; the shares above stay indexed with zero owners, exactly like an
+    // upload abandoned before PutFile.
+    Result<uint64_t> gen = CommitFile(*req.commit);
+    if (!gen.ok()) {
+      rb.SendError(gen.status());
+      return;
+    }
+    reply.generation_id = gen.value();
+  }
   rb.Send(reply);
 }
 
 void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
   ReaderMutexLock ops(ops_mu_);
   CountUser("cdstore_server_user_requests_total", req.user);
-  if (req.mode == PutFileMode::kPutGeneration && req.generation_id == 0) {
-    rb.SendError(Status::InvalidArgument("kPutGeneration requires a generation id"));
+  PutFileReply reply;
+  if (req.query_from.has_value()) {
+    // Conditional commit: the FpQuery check over the recipe tail, under
+    // the same stripe read locks. Anything short of full ownership commits
+    // nothing and answers exactly what FpQuery would, so the client learns
+    // only its own holdings (§3.3) and a recipe can never claim a share
+    // this user did not already own from query_from on.
+    if (*req.query_from > req.recipe.size()) {
+      rb.SendError(Status::InvalidArgument("PutFile query_from past the recipe"));
+      return;
+    }
+    const size_t from = static_cast<size_t>(*req.query_from);
+    std::vector<uint8_t> duplicate;
+    if (Status st = QueryOwned(
+            req.user, req.recipe.size() - from,
+            [&](size_t i) -> const Fingerprint& { return req.recipe[from + i].fp; }, &duplicate);
+        !st.ok()) {
+      rb.SendError(st);
+      return;
+    }
+    if (std::find(duplicate.begin(), duplicate.end(), 0) != duplicate.end()) {
+      reply.duplicate = std::move(duplicate);
+      rb.Send(reply);
+      return;
+    }
+  }
+  Result<uint64_t> gen = CommitFile(req);
+  if (!gen.ok()) {
+    rb.SendError(gen.status());
     return;
+  }
+  reply.generation_id = gen.value();
+  rb.Send(reply);
+}
+
+Result<uint64_t> CdstoreServer::CommitFile(const PutFileRequest& req) {
+  if (req.mode == PutFileMode::kPutGeneration && req.generation_id == 0) {
+    return Status::InvalidArgument("kPutGeneration requires a generation id");
   }
   // Append the recipe blob before taking the commit lock and before
   // touching any reference counts: if the append fails, the index is
@@ -484,8 +540,7 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
     return recipe_store_.Append(req.user, recipe.Serialize());
   }();
   if (!handle.ok()) {
-    rb.SendError(handle.status());
-    return;
+    return handle.status();
   }
 
   MutexLock commit(commit_mu_);
@@ -505,10 +560,9 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
       // leak the old references beyond GC's reach forever.
       auto old_recipe = FetchRecipeBlob(old_rec.value());
       if (!old_recipe.ok()) {
-        rb.SendError(Status(old_recipe.status().code(),
-                            "replaced generation's recipe unreadable: " +
-                                old_recipe.status().message()));
-        return;
+        return Status(old_recipe.status().code(),
+                      "replaced generation's recipe unreadable: " +
+                          old_recipe.status().message());
       }
       drop_fps.reserve(old_recipe.value().entries.size());
       for (const RecipeEntry& e : old_recipe.value().entries) {
@@ -518,8 +572,7 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
       replaced_unique_bytes = old_rec.value().unique_bytes;
       replacing = true;
     } else if (old_rec.status().code() != StatusCode::kNotFound) {
-      rb.SendError(old_rec.status());
-      return;
+      return old_rec.status();
     }
   }
 
@@ -543,8 +596,7 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
     if (Status st = share_index_.ReplaceReferences(add_fps, drop_fps, req.user, &unique_bytes,
                                                    &dropped_bytes);
         !st.ok()) {
-      rb.SendError(st);
-      return;
+      return st;
     }
   }
 
@@ -590,14 +642,12 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
     if (Status st = file_index_.PutGeneration(req.user, req.path_key, rec, &new_path,
                                               &new_generation, &name);
         !st.ok()) {
-      rb.SendError(st);
-      return;
+      return st;
     }
   } else {
     auto stored = file_index_.AppendGeneration(req.user, req.path_key, rec, &new_path, &name);
     if (!stored.ok()) {
-      rb.SendError(stored.status());
-      return;
+      return stored.status();
     }
     rec = stored.value();
     new_generation = true;
@@ -609,12 +659,9 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
     ++generation_count_;
   }
   if (Status st = SaveMetaLocked(); !st.ok()) {
-    rb.SendError(st);
-    return;
+    return st;
   }
-  PutFileReply reply;
-  reply.generation_id = rec.generation_id;
-  rb.Send(reply);
+  return rec.generation_id;
 }
 
 void CdstoreServer::GetFile(const GetFileRequest& req, ReplyBuilder& rb) {

@@ -193,6 +193,17 @@ class CdstoreServer : public ServerService {
 
   Status LoadMeta();
   Status SaveMetaLocked() REQUIRES(commit_mu_);
+  // The intra-user dedup answer behind FpQuery and a conditional PutFile:
+  // duplicate[i] = 1 iff `user` holds a reference to fp_at(i), each read
+  // under its stripe's read lock. Never consults other users' holdings.
+  template <typename FpAt>
+  Status QueryOwned(UserId user, size_t count, FpAt fp_at, std::vector<uint8_t>* duplicate)
+      REQUIRES_SHARED(ops_mu_);
+  // Binds `req.recipe` into the namespace as PutFile's request mode says
+  // and returns the generation id: the one commit behind PutFile and the
+  // commit that rides on an UploadShares batch. Every recipe entry must
+  // name a stored share (query_from is the caller's concern).
+  Result<uint64_t> CommitFile(const PutFileRequest& req) REQUIRES_SHARED(ops_mu_);
   // The ownership-checked share fetch behind GetShares and the GetFile
   // prefetch: under the share's stripe read lock, a user who holds no
   // reference gets kPermissionDenied and an unindexed share kNotFound; the

@@ -151,10 +151,81 @@ Status Decode(ConstByteSpan frame, FpQueryReply* m) {
 
 // ---- UploadShares ----------------------------------------------------------
 
+namespace {
+
+// The high bit of the PutFile mode byte flags a trailing query_from.
+constexpr uint8_t kConditionalModeBit = 0x80;
+
+// The PutFile fields after `user`: shared by PutFile and the commit riding
+// on an UploadShares batch, which never carries query_from (`conditional`
+// false drops it).
+void PutCommitBody(BufferWriter* w, const PutFileRequest& m, bool conditional) {
+  conditional = conditional && m.query_from.has_value();
+  w->PutBytes(m.path_key);
+  w->PutBytes(m.path_id);
+  w->PutU32(m.path_name_len);
+  w->PutU64(m.file_size);
+  uint8_t mode = static_cast<uint8_t>(m.mode);
+  w->PutU8(conditional ? mode | kConditionalModeBit : mode);
+  w->PutU64(m.generation_id);
+  w->PutU64(m.timestamp_ms);
+  PutRecipe(w, m.recipe);
+  if (conditional) {
+    w->PutU64(*m.query_from);
+  }
+}
+
+// Inverse of PutCommitBody. With `conditional` false (a commit riding on
+// UploadShares) a flagged mode byte is an unknown mode: InvalidArgument.
+Status GetCommitBody(BufferReader* r, PutFileRequest* m, bool conditional) {
+  RETURN_IF_ERROR(r->GetBytes(&m->path_key));
+  RETURN_IF_ERROR(r->GetBytes(&m->path_id));
+  RETURN_IF_ERROR(r->GetU32(&m->path_name_len));
+  RETURN_IF_ERROR(r->GetU64(&m->file_size));
+  uint8_t mode = 0;
+  RETURN_IF_ERROR(r->GetU8(&mode));
+  conditional = conditional && (mode & kConditionalModeBit) != 0;
+  if (conditional) {
+    mode &= static_cast<uint8_t>(~kConditionalModeBit);
+  }
+  if (mode > static_cast<uint8_t>(PutFileMode::kPutGeneration)) {
+    return Status::InvalidArgument("unknown PutFile mode");
+  }
+  m->mode = static_cast<PutFileMode>(mode);
+  RETURN_IF_ERROR(r->GetU64(&m->generation_id));
+  RETURN_IF_ERROR(r->GetU64(&m->timestamp_ms));
+  RETURN_IF_ERROR(GetRecipe(r, &m->recipe));
+  m->query_from.reset();
+  if (conditional) {
+    uint64_t from = 0;
+    RETURN_IF_ERROR(r->GetU64(&from));
+    m->query_from = from;
+  }
+  return Status::Ok();
+}
+
+// The optional trailing commit of an UploadShares request.
+Status GetUploadCommit(BufferReader* r, uint64_t user, std::optional<PutFileRequest>* commit) {
+  commit->reset();
+  if (r->remaining() == 0) {
+    return Status::Ok();  // a batch without a commit
+  }
+  PutFileRequest c;
+  c.user = user;
+  RETURN_IF_ERROR(GetCommitBody(r, &c, /*conditional=*/false));
+  *commit = std::move(c);
+  return Status::Ok();
+}
+
+}  // namespace
+
 Bytes Encode(const UploadSharesRequest& m) {
   BufferWriter w = Begin(MsgType::kUploadSharesRequest);
   w.PutU64(m.user);
   PutBlobs(&w, m.shares);
+  if (m.commit.has_value()) {
+    PutCommitBody(&w, *m.commit, /*conditional=*/false);
+  }
   return w.Take();
 }
 
@@ -162,20 +233,25 @@ Status Decode(ConstByteSpan frame, UploadSharesRequest* m) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesRequest));
   RETURN_IF_ERROR(r.GetU64(&m->user));
-  return GetBlobList(&r, &m->shares);
+  RETURN_IF_ERROR(GetBlobList(&r, &m->shares));
+  return GetUploadCommit(&r, m->user, &m->commit);
 }
 
 Status DecodeView(ConstByteSpan frame, UploadSharesRequestView* m) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesRequest));
   RETURN_IF_ERROR(r.GetU64(&m->user));
-  return GetBlobSpans(&r, &m->shares);
+  RETURN_IF_ERROR(GetBlobSpans(&r, &m->shares));
+  return GetUploadCommit(&r, m->user, &m->commit);
 }
 
 Bytes Encode(const UploadSharesReply& m) {
   BufferWriter w = Begin(MsgType::kUploadSharesReply);
   w.PutU32(m.stored);
   w.PutU32(m.deduplicated);
+  if (m.generation_id.has_value()) {
+    w.PutU64(*m.generation_id);
+  }
   return w.Take();
 }
 
@@ -183,7 +259,15 @@ Status Decode(ConstByteSpan frame, UploadSharesReply* m) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesReply));
   RETURN_IF_ERROR(r.GetU32(&m->stored));
-  return r.GetU32(&m->deduplicated);
+  RETURN_IF_ERROR(r.GetU32(&m->deduplicated));
+  m->generation_id.reset();
+  if (r.remaining() == 0) {
+    return Status::Ok();  // the request carried no commit
+  }
+  uint64_t gen = 0;
+  RETURN_IF_ERROR(r.GetU64(&gen));
+  m->generation_id = gen;
+  return Status::Ok();
 }
 
 // ---- PutFile ---------------------------------------------------------------
@@ -191,14 +275,7 @@ Status Decode(ConstByteSpan frame, UploadSharesReply* m) {
 Bytes Encode(const PutFileRequest& m) {
   BufferWriter w = Begin(MsgType::kPutFileRequest);
   w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  w.PutBytes(m.path_id);
-  w.PutU32(m.path_name_len);
-  w.PutU64(m.file_size);
-  w.PutU8(static_cast<uint8_t>(m.mode));
-  w.PutU64(m.generation_id);
-  w.PutU64(m.timestamp_ms);
-  PutRecipe(&w, m.recipe);
+  PutCommitBody(&w, m, /*conditional=*/true);
   return w.Take();
 }
 
@@ -206,31 +283,30 @@ Status Decode(ConstByteSpan frame, PutFileRequest* m) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kPutFileRequest));
   RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_key));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_id));
-  RETURN_IF_ERROR(r.GetU32(&m->path_name_len));
-  RETURN_IF_ERROR(r.GetU64(&m->file_size));
-  uint8_t mode = 0;
-  RETURN_IF_ERROR(r.GetU8(&mode));
-  if (mode > static_cast<uint8_t>(PutFileMode::kPutGeneration)) {
-    return Status::InvalidArgument("unknown PutFile mode");
-  }
-  m->mode = static_cast<PutFileMode>(mode);
-  RETURN_IF_ERROR(r.GetU64(&m->generation_id));
-  RETURN_IF_ERROR(r.GetU64(&m->timestamp_ms));
-  return GetRecipe(&r, &m->recipe);
+  return GetCommitBody(&r, m, /*conditional=*/true);
 }
 
 Bytes Encode(const PutFileReply& m) {
   BufferWriter w = Begin(MsgType::kPutFileReply);
   w.PutU64(m.generation_id);
+  if (m.duplicate.has_value()) {
+    w.PutBytes(*m.duplicate);
+  }
   return w.Take();
 }
 
 Status Decode(ConstByteSpan frame, PutFileReply* m) {
   BufferReader r(frame);
   RETURN_IF_ERROR(CheckType(&r, MsgType::kPutFileReply));
-  return r.GetU64(&m->generation_id);
+  RETURN_IF_ERROR(r.GetU64(&m->generation_id));
+  m->duplicate.reset();
+  if (r.remaining() == 0) {
+    return Status::Ok();  // committed
+  }
+  std::vector<uint8_t> duplicate;
+  RETURN_IF_ERROR(r.GetBytes(&duplicate));
+  m->duplicate = std::move(duplicate);
+  return Status::Ok();
 }
 
 // ---- GetFile ---------------------------------------------------------------
@@ -850,7 +926,7 @@ Status Decode(ConstByteSpan frame, GetTracesReply* m) {
 // ---- trace-context envelope ------------------------------------------------
 
 Bytes WrapTraced(const TraceContextHeader& ctx, ConstByteSpan inner) {
-  BufferWriter w(inner.size() + 18);
+  BufferWriter w(inner.size() + kTracedEnvelopeBytes);
   w.PutU8(static_cast<uint8_t>(MsgType::kTracedRequest));
   w.PutU64(ctx.trace_id);
   w.PutU64(ctx.parent_span_id);

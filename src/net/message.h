@@ -3,8 +3,15 @@
 //
 //   FpQuery        intra-user dedup check ("which of these shares have I
 //                  already uploaded?")
-//   UploadShares   4MB batches of unique shares (server re-fingerprints)
-//   PutFile        finalize a file generation: pathname share + recipe
+//   UploadShares   4MB batches of unique shares (server re-fingerprints);
+//                  a file's last batch may carry its commit (the PutFile
+//                  fields), so a file with unique shares commits without a
+//                  separate PutFile round trip
+//   PutFile        finalize a file generation: pathname share + recipe.
+//                  A conditional PutFile (query_from set) commits only if
+//                  the user already owns every share from query_from on, and
+//                  otherwise answers that range as FpQuery would — so a
+//                  deduplicated file needs no tail FpQuery
 //   GetFile        fetch a generation's recipe by pathname share, plus the
 //                  shares of the download's first batch (BatchEnd) when the
 //                  request asks for a prefetch, so a small file restores in
@@ -29,6 +36,7 @@
 #define CDSTORE_SRC_NET_MESSAGE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,23 +113,6 @@ struct FpQueryReply {
   std::vector<uint8_t> duplicate;
 };
 
-struct UploadSharesRequest {
-  uint64_t user = 0;
-  std::vector<Bytes> shares;
-};
-// Zero-copy decode target for an UploadSharesRequest: each share is a span
-// into the request frame, so a server handler holds no per-share heap copy
-// of the payload (the server-side half of the message-layer zero-copy
-// plan; the frame must outlive the view).
-struct UploadSharesRequestView {
-  uint64_t user = 0;
-  std::vector<ConstByteSpan> shares;
-};
-struct UploadSharesReply {
-  uint32_t stored = 0;        // shares newly written to a container
-  uint32_t deduplicated = 0;  // shares inter-user deduplicated away
-};
-
 // How PutFile binds the uploaded recipe into the versioned namespace.
 enum class PutFileMode : uint8_t {
   // Append a new backup generation under the path (a weekly snapshot in
@@ -154,9 +145,47 @@ struct PutFileRequest {
   uint64_t generation_id = 0;  // kPutGeneration only; must be nonzero there
   uint64_t timestamp_ms = 0;   // client backup time, drives retention windows
   std::vector<RecipeEntry> recipe;
+  // Set = conditional commit: the server commits only if `user` already
+  // owns every share of recipe[*query_from..] (the FpQuery check), and
+  // otherwise commits nothing and answers with that range's duplicate
+  // bitmap. Trailing field, flagged by the high bit of the mode byte, so a
+  // decoder that predates it rejects the frame ("unknown PutFile mode")
+  // instead of committing it unconditionally.
+  std::optional<uint64_t> query_from;
 };
 struct PutFileReply {
   uint64_t generation_id = 0;  // the generation this recipe was bound to
+  // Set only when a conditional PutFile did not commit (generation_id is
+  // then 0): duplicate[i] == 1 iff recipe[query_from + i] is already stored
+  // by this user — exactly FpQuery's answer for that range. Trailing field:
+  // a committed reply is byte-identical to an unconditional one.
+  std::optional<std::vector<uint8_t>> duplicate;
+};
+
+struct UploadSharesRequest {
+  uint64_t user = 0;
+  std::vector<Bytes> shares;
+  // Set = after storing the shares, commit this file exactly as a PutFile
+  // with these fields would (its `user` is ignored: the request's applies;
+  // its query_from must be unset). Trailing field: a frame without it
+  // decodes as "no commit".
+  std::optional<PutFileRequest> commit;
+};
+// Zero-copy decode target for an UploadSharesRequest: each share is a span
+// into the request frame, so a server handler holds no per-share heap copy
+// of the payload (the server-side half of the message-layer zero-copy
+// plan; the frame must outlive the view).
+struct UploadSharesRequestView {
+  uint64_t user = 0;
+  std::vector<ConstByteSpan> shares;
+  std::optional<PutFileRequest> commit;  // as in UploadSharesRequest
+};
+struct UploadSharesReply {
+  uint32_t stored = 0;        // shares newly written to a container
+  uint32_t deduplicated = 0;  // shares inter-user deduplicated away
+  // The generation the request's commit was bound to; set only when the
+  // request carried one. Trailing field: a reply without it decodes unset.
+  std::optional<uint64_t> generation_id;
 };
 
 struct GetFileRequest {
@@ -409,7 +438,9 @@ Bytes Encode(const GetMetricsReply& m);
 Bytes Encode(const GetTracesRequest& m);
 Bytes Encode(const GetTracesReply& m);
 // Wraps `inner` (a complete request frame) in a kTracedRequest envelope
-// carrying `ctx`. The inner bytes ride verbatim.
+// carrying `ctx`. The inner bytes ride verbatim, kTracedEnvelopeBytes after
+// the envelope's start.
+inline constexpr size_t kTracedEnvelopeBytes = 18;
 Bytes WrapTraced(const TraceContextHeader& ctx, ConstByteSpan inner);
 // Peels a kTracedRequest envelope: fills `ctx` and points `inner` at the
 // wrapped frame bytes (a view into `frame`; no copy). kCorruption on a

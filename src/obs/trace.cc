@@ -77,20 +77,23 @@ void UnpackRecord(const uint64_t (&w)[trace_internal::kSpanWords], SpanRecord* r
 }
 
 // Seqlock writer — owner thread only. Marks the slot open (odd), writes the
-// payload as relaxed words, publishes (even). Readers that overlap discard.
+// payload words, publishes (even). Readers that overlap discard. Each word
+// is a release store, so a reader that sees any new word also sees the odd
+// mark before it; no standalone fence (which TSAN does not model).
 void WriteSlot(trace_internal::Slot& slot, const SpanRecord& rec) {
   uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   uint64_t w[trace_internal::kSpanWords];
   PackRecord(rec, w);
   for (size_t i = 0; i < trace_internal::kSpanWords; ++i) {
-    slot.w[i].store(w[i], std::memory_order_relaxed);
+    slot.w[i].store(w[i], std::memory_order_release);
   }
   slot.seq.store(seq + 2, std::memory_order_release);
 }
 
-// Seqlock reader: true when a stable, published record was copied out.
+// Seqlock reader: true when a stable, published record was copied out. The
+// payload words are acquire loads, so the closing re-read of the sequence
+// cannot move ahead of them and sees any writer that touched a word.
 bool ReadSlot(const trace_internal::Slot& slot, SpanRecord* rec) {
   uint64_t s1 = slot.seq.load(std::memory_order_acquire);
   if (s1 == 0 || (s1 & 1) != 0) {
@@ -98,9 +101,8 @@ bool ReadSlot(const trace_internal::Slot& slot, SpanRecord* rec) {
   }
   uint64_t w[trace_internal::kSpanWords];
   for (size_t i = 0; i < trace_internal::kSpanWords; ++i) {
-    w[i] = slot.w[i].load(std::memory_order_relaxed);
+    w[i] = slot.w[i].load(std::memory_order_acquire);
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.seq.load(std::memory_order_relaxed) != s1) {
     return false;
   }

@@ -5,8 +5,8 @@
 //
 // Design rides the sharded-registry idea from metrics.h: recording is
 // wait-free on hot paths. Each thread appends finished spans to its own
-// ring buffer; a slot is a tiny seqlock (one sequence word + relaxed
-// word-wise payload), so a concurrent Dump() never blocks a recording
+// ring buffer; a slot is a tiny seqlock (one sequence word + release/
+// acquire word-wise payload), so a concurrent Dump() never blocks a recording
 // thread and never reads a torn span as valid. Rings are merged only at
 // dump time.
 //
@@ -133,7 +133,7 @@ struct TraceDump {
 
 namespace trace_internal {
 
-// SpanRecord packed into relaxed-atomic words behind a per-slot seqlock:
+// SpanRecord packed into atomic words behind a per-slot seqlock:
 // 5 ids/times + name pointer + tid + 5 annot words.
 inline constexpr size_t kSpanWords = 12;
 inline constexpr size_t kAnnotBytes = sizeof(SpanRecord{}.annot);

@@ -550,6 +550,127 @@ TEST(DownloadTest, MissingFirstBatchShareFailsGetFileAndRecruitsSpare) {
 
 // ---------------------------------------------------- repair via session --
 
+// ------------------------------------------------------ upload round trips --
+
+// Options under which a 300 KB file's shares stay inside every cloud's
+// first stream window (stream_batch_bytes / n) and one barrier batch.
+ClientOptions OneWindowOptions(bool streaming) {
+  ClientOptions o = SmallOptions();
+  o.stream_batch_bytes = 4 << 20;
+  o.upload_batch_bytes = 4 << 20;
+  o.streaming_upload = streaming;
+  return o;
+}
+
+// The same bytes with one 100-byte region rewritten.
+Bytes WithChangedRegion(Bytes data) {
+  for (size_t i = 150000; i < 150100; ++i) {
+    data[i] ^= 0x5a;
+  }
+  return data;
+}
+
+// A unique file costs a conditional PutFile (a dedup miss) plus one
+// UploadShares carrying the commit: two RPCs per cloud, no FpQuery.
+TEST(UploadRpcTest, UniqueOneBatchFileCostsTwoRpcsPerCloud) {
+  for (bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming" : "barrier");
+    auto world = MakeDeployment();
+    CountedClouds clouds(world->TransportPtrs());
+    CdstoreClient client(clouds.ptrs, 1, OneWindowOptions(streaming));
+    Bytes data = Rng(201).RandomBytes(300000);
+    UploadStats stats;
+    ASSERT_TRUE(client.Upload("/file", data, &stats).ok());
+    EXPECT_EQ(stats.generation_id, 1u);
+    for (int c = 0; c < kN; ++c) {
+      EXPECT_EQ(stats.per_cloud[c].rpcs, 2u) << "cloud " << c;
+      EXPECT_EQ(clouds.counters[c]->calls(MsgType::kFpQueryRequest), 0) << "cloud " << c;
+      EXPECT_EQ(clouds.counters[c]->calls(MsgType::kPutFileRequest), 1) << "cloud " << c;
+      EXPECT_EQ(clouds.counters[c]->calls(MsgType::kUploadSharesRequest), 1) << "cloud " << c;
+    }
+    EXPECT_EQ(client.Download("/file").value(), data);
+  }
+}
+
+// Re-uploading identical bytes commits with the conditional PutFile alone.
+TEST(UploadRpcTest, IdenticalReuploadCostsOneRpcPerCloud) {
+  for (bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming" : "barrier");
+    auto world = MakeDeployment();
+    Bytes data = Rng(202).RandomBytes(300000);
+    CdstoreClient first(world->TransportPtrs(), 1, OneWindowOptions(streaming));
+    ASSERT_TRUE(first.Upload("/file", data).ok());
+
+    CountedClouds clouds(world->TransportPtrs());
+    CdstoreClient client(clouds.ptrs, 1, OneWindowOptions(streaming));
+    UploadFileOptions new_generation;
+    new_generation.mode = PutFileMode::kNewGeneration;
+    UploadStats stats;
+    ASSERT_TRUE(client.Upload("/file", data, &stats, new_generation).ok());
+    EXPECT_EQ(stats.generation_id, 2u);
+    EXPECT_EQ(stats.transferred_share_bytes, 0u);
+    EXPECT_EQ(stats.intra_duplicate_shares, stats.num_secrets * kN);
+    for (int c = 0; c < kN; ++c) {
+      EXPECT_EQ(stats.per_cloud[c].rpcs, 1u) << "cloud " << c;
+      EXPECT_EQ(clouds.counters[c]->calls(MsgType::kPutFileRequest), 1) << "cloud " << c;
+    }
+    EXPECT_EQ(clouds.Total(MsgType::kFpQueryRequest), 0);
+    EXPECT_EQ(clouds.Total(MsgType::kUploadSharesRequest), 0);
+    EXPECT_EQ(client.Download("/file").value(), data);
+  }
+}
+
+// A re-upload with one changed region: the conditional PutFile misses, its
+// bitmap picks the new shares, and they carry the commit — two RPCs per
+// cloud, moving exactly the bytes the three-RPC protocol (FpQuery,
+// UploadShares, PutFile) moved for this input.
+TEST(UploadRpcTest, ChangedRegionReuploadCostsTwoRpcsPerCloud) {
+  // Per-cloud transferred_share_bytes of this input under the three-RPC
+  // protocol (deterministic: fixed seed, convergent encoding).
+  const uint64_t kThreeRpcTransferred[kN] = {2256, 2256, 2256, 2256};
+  for (bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming" : "barrier");
+    auto world = MakeDeployment();
+    Bytes data = Rng(203).RandomBytes(300000);
+    CdstoreClient first(world->TransportPtrs(), 1, OneWindowOptions(streaming));
+    ASSERT_TRUE(first.Upload("/file", data).ok());
+
+    CountedClouds clouds(world->TransportPtrs());
+    CdstoreClient client(clouds.ptrs, 1, OneWindowOptions(streaming));
+    Bytes changed = WithChangedRegion(data);
+    UploadStats stats;
+    ASSERT_TRUE(client.Upload("/file", changed, &stats).ok());
+    EXPECT_GT(stats.transferred_share_bytes, 0u);
+    EXPECT_GT(stats.intra_duplicate_shares, 0u);
+    for (int c = 0; c < kN; ++c) {
+      EXPECT_EQ(stats.per_cloud[c].rpcs, 2u) << "cloud " << c;
+      EXPECT_EQ(stats.per_cloud[c].transferred_share_bytes, kThreeRpcTransferred[c])
+          << "cloud " << c;
+      EXPECT_EQ(clouds.counters[c]->calls(MsgType::kFpQueryRequest), 0) << "cloud " << c;
+    }
+    EXPECT_EQ(client.Download("/file").value(), changed);
+  }
+}
+
+// Under the first stream window the streaming and barrier paths issue the
+// same RPCs and reach the same dedup decisions, for a unique file, an
+// identical re-upload and a partly changed one.
+TEST(UploadRpcTest, StreamingAndBarrierAgreeUnderTheFirstWindow) {
+  Bytes data = Rng(204).RandomBytes(300000);
+  std::vector<Bytes> uploads = {data, data, WithChangedRegion(data)};
+  auto stream_world = MakeDeployment();
+  auto barrier_world = MakeDeployment();
+  CdstoreClient streaming(stream_world->TransportPtrs(), 1, OneWindowOptions(true));
+  CdstoreClient barrier(barrier_world->TransportPtrs(), 1, OneWindowOptions(false));
+  for (size_t u = 0; u < uploads.size(); ++u) {
+    UploadStats s, b;
+    ASSERT_TRUE(streaming.Upload("/file", uploads[u], &s).ok());
+    ASSERT_TRUE(barrier.Upload("/file", uploads[u], &b).ok());
+    ExpectSameUploadStats(s, b, "upload " + std::to_string(u));
+    EXPECT_EQ(s.generation_id, b.generation_id);
+  }
+}
+
 TEST(RepairTest, StreamedRepairRebuildsLostCloud) {
   auto world = MakeDeployment();
   CdstoreClient client(world->TransportPtrs(), 1, SmallOptions());

@@ -145,6 +145,198 @@ std::vector<RecipeEntry> SampleRecipe(int entries, uint32_t share_size) {
   return recipe;
 }
 
+PutFileRequest SampleCommit(int entries) {
+  PutFileRequest c;
+  c.user = 7;
+  c.path_key = BytesOf("pathshare");
+  c.path_id = BytesOf("pathid");
+  c.path_name_len = 12;
+  c.file_size = 99999;
+  c.mode = PutFileMode::kPutGeneration;
+  c.generation_id = 4;
+  c.timestamp_ms = 1234;
+  c.recipe = SampleRecipe(entries, 100);
+  return c;
+}
+
+void ExpectSameCommit(const PutFileRequest& a, const PutFileRequest& b) {
+  EXPECT_EQ(a.path_key, b.path_key);
+  EXPECT_EQ(a.path_id, b.path_id);
+  EXPECT_EQ(a.path_name_len, b.path_name_len);
+  EXPECT_EQ(a.file_size, b.file_size);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.generation_id, b.generation_id);
+  EXPECT_EQ(a.timestamp_ms, b.timestamp_ms);
+  ASSERT_EQ(a.recipe.size(), b.recipe.size());
+  for (size_t i = 0; i < a.recipe.size(); ++i) {
+    EXPECT_EQ(a.recipe[i].fp, b.recipe[i].fp);
+    EXPECT_EQ(a.recipe[i].secret_size, b.recipe[i].secret_size);
+    EXPECT_EQ(a.recipe[i].share_size, b.recipe[i].share_size);
+  }
+}
+
+TEST(MessageTest, UploadSharesRoundTripsWithAndWithoutCommit) {
+  UploadSharesRequest req;
+  req.user = 7;
+  req.shares = {Rng(2).RandomBytes(100), Rng(4).RandomBytes(300)};
+  Bytes bare = Encode(req);
+  UploadSharesRequestView view;
+  ASSERT_TRUE(DecodeView(bare, &view).ok());
+  EXPECT_EQ(view.shares.size(), 2u);
+  EXPECT_FALSE(view.commit.has_value());
+
+  req.commit = SampleCommit(3);
+  req.commit->query_from = 1;  // never rides on UploadShares
+  Bytes full = Encode(req);
+  UploadSharesRequest back;
+  ASSERT_TRUE(Decode(full, &back).ok());
+  EXPECT_EQ(back.shares, req.shares);
+  ASSERT_TRUE(back.commit.has_value());
+  EXPECT_EQ(back.commit->user, 7u);  // the request's user
+  EXPECT_FALSE(back.commit->query_from.has_value());
+  ExpectSameCommit(*back.commit, *req.commit);
+  ASSERT_TRUE(DecodeView(full, &view).ok());
+  ASSERT_EQ(view.shares.size(), 2u);
+  ASSERT_TRUE(view.commit.has_value());
+  ExpectSameCommit(*view.commit, *req.commit);
+  EXPECT_EQ(Encode(back), full);
+
+  UploadSharesReply reply;
+  reply.stored = 2;
+  reply.deduplicated = 1;
+  UploadSharesReply reply_back;
+  ASSERT_TRUE(Decode(Encode(reply), &reply_back).ok());
+  EXPECT_EQ(reply_back.stored, 2u);
+  EXPECT_FALSE(reply_back.generation_id.has_value());
+  reply.generation_id = 17;
+  ASSERT_TRUE(Decode(Encode(reply), &reply_back).ok());
+  EXPECT_EQ(reply_back.deduplicated, 1u);
+  EXPECT_EQ(reply_back.generation_id, std::optional<uint64_t>(17));
+}
+
+TEST(MessageTest, PutFileRoundTripsWithAndWithoutQueryFrom) {
+  PutFileRequest req = SampleCommit(4);
+  Bytes plain = Encode(req);
+  PutFileRequest back;
+  ASSERT_TRUE(Decode(plain, &back).ok());
+  EXPECT_FALSE(back.query_from.has_value());
+  ExpectSameCommit(back, req);
+
+  req.query_from = 2;
+  Bytes conditional = Encode(req);
+  ASSERT_TRUE(Decode(conditional, &back).ok());
+  EXPECT_EQ(back.query_from, std::optional<uint64_t>(2));
+  ExpectSameCommit(back, req);
+  EXPECT_EQ(Encode(back), conditional);
+  // Only the mode byte's flag and the trailing u64 differ.
+  EXPECT_EQ(conditional.size(), plain.size() + 8);
+
+  PutFileReply reply;
+  reply.generation_id = 5;
+  Bytes committed = Encode(reply);
+  PutFileReply reply_back;
+  ASSERT_TRUE(Decode(committed, &reply_back).ok());
+  EXPECT_EQ(reply_back.generation_id, 5u);
+  EXPECT_FALSE(reply_back.duplicate.has_value());
+  reply.generation_id = 0;
+  reply.duplicate = std::vector<uint8_t>{1, 0};
+  ASSERT_TRUE(Decode(Encode(reply), &reply_back).ok());
+  EXPECT_EQ(reply_back.duplicate, reply.duplicate);
+}
+
+// Peers that predate the riding commit: an UploadShares frame and reply
+// without the trailing fields decode as "no commit" and "no generation".
+TEST(MessageTest, PreChangeUploadSharesFramesDecode) {
+  BufferWriter w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kUploadSharesRequest));
+  w.PutU64(3);
+  w.PutVarint(1);
+  w.PutBytes(BytesOf("share"));
+  Bytes frame = w.Take();
+  UploadSharesRequest req;
+  req.commit = SampleCommit(1);
+  ASSERT_TRUE(Decode(frame, &req).ok());
+  EXPECT_FALSE(req.commit.has_value());
+  UploadSharesRequestView view;
+  view.commit = SampleCommit(1);
+  ASSERT_TRUE(DecodeView(frame, &view).ok());
+  EXPECT_FALSE(view.commit.has_value());
+
+  BufferWriter r;
+  r.PutU8(static_cast<uint8_t>(MsgType::kUploadSharesReply));
+  r.PutU32(1);
+  r.PutU32(0);
+  UploadSharesReply reply;
+  reply.generation_id = 9;
+  ASSERT_TRUE(Decode(r.Take(), &reply).ok());
+  EXPECT_EQ(reply.stored, 1u);
+  EXPECT_FALSE(reply.generation_id.has_value());
+}
+
+// The flag bit does not widen the mode range: 0x80|3 is still an unknown
+// mode, and a flagged mode inside an UploadShares commit is one too.
+TEST(MessageTest, FlaggedUnknownPutFileModeIsInvalid) {
+  PutFileRequest req = SampleCommit(2);
+  req.mode = static_cast<PutFileMode>(3);
+  req.query_from = 0;
+  PutFileRequest back;
+  EXPECT_EQ(Decode(Encode(req), &back).code(), StatusCode::kInvalidArgument);
+
+  UploadSharesRequest up;
+  up.user = 1;
+  up.shares = {BytesOf("s")};
+  Bytes flagged = Encode(up);
+  BufferWriter body;
+  body.PutBytes(BytesOf("pathshare"));
+  body.PutBytes(Bytes{});
+  body.PutU32(0);
+  body.PutU64(0);
+  body.PutU8(0x80);  // kNewGeneration with the conditional flag
+  body.PutU64(0);
+  body.PutU64(0);
+  body.PutVarint(0);
+  body.PutU64(0);
+  Bytes tail = body.Take();
+  flagged.insert(flagged.end(), tail.begin(), tail.end());
+  UploadSharesRequest up_back;
+  EXPECT_EQ(Decode(flagged, &up_back).code(), StatusCode::kInvalidArgument);
+}
+
+// Every truncation of a commit-carrying UploadShares frame, a conditional
+// PutFile and a bitmap reply returns a Status; none aborts or succeeds.
+TEST(MessageTest, TruncatedCommitOrBitmapReturnsStatus) {
+  UploadSharesRequest up;
+  up.user = 1;
+  up.shares = {BytesOf("share")};
+  Bytes bare = Encode(up);
+  up.commit = SampleCommit(3);
+  Bytes full = Encode(up);
+  for (size_t len = bare.size() + 1; len < full.size(); ++len) {
+    Bytes cut(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
+    UploadSharesRequestView view;
+    EXPECT_FALSE(DecodeView(cut, &view).ok()) << "length " << len;
+  }
+
+  PutFileRequest req = SampleCommit(3);
+  req.query_from = 1;
+  Bytes put = Encode(req);
+  for (size_t len = 1; len < put.size(); ++len) {
+    Bytes cut(put.begin(), put.begin() + static_cast<std::ptrdiff_t>(len));
+    PutFileRequest back;
+    EXPECT_FALSE(Decode(cut, &back).ok()) << "length " << len;
+  }
+
+  PutFileReply reply;
+  reply.duplicate = std::vector<uint8_t>{0, 1, 1};
+  Bytes frame = Encode(reply);
+  Bytes committed = Encode(PutFileReply{});
+  for (size_t len = committed.size() + 1; len < frame.size(); ++len) {
+    Bytes cut(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(len));
+    PutFileReply back;
+    EXPECT_FALSE(Decode(cut, &back).ok()) << "length " << len;
+  }
+}
+
 TEST(MessageTest, GetFileRoundTripsWithAndWithoutPrefetch) {
   GetFileRequest req;
   req.user = 4;

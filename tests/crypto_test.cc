@@ -5,7 +5,6 @@
 #include "src/crypto/aes256.h"
 #include "src/crypto/ctr.h"
 #include "src/crypto/ctr_drbg.h"
-#include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
@@ -75,23 +74,6 @@ TEST(Sha256Test, ExactBlockBoundaryLengths) {
     h.Finish(d2);
     EXPECT_EQ(d1, d2) << "len=" << len;
   }
-}
-
-// ------------------------------------------------------------------ SHA-1 --
-
-TEST(Sha1Test, EmptyString) {
-  EXPECT_EQ(HexEncode(Sha1::Hash(ConstByteSpan{})),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-}
-
-TEST(Sha1Test, Abc) {
-  EXPECT_EQ(HexEncode(Sha1::Hash(BytesOf("abc"))),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
-}
-
-TEST(Sha1Test, TwoBlockMessage) {
-  EXPECT_EQ(HexEncode(Sha1::Hash(BytesOf("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
 }
 
 // ---------------------------------------------------------------- AES-256 --

@@ -543,6 +543,196 @@ TEST_F(ServerServiceTest, GetFileClampsPrefetchToTheFrameCap) {
   tcp.value()->Stop();
 }
 
+PutFileRequest CommitFor(UserId user, const std::string& path, const std::vector<Bytes>& shares) {
+  PutFileRequest put;
+  put.user = user;
+  put.path_key = BytesOf(path);
+  put.recipe = RecipeFor(shares);
+  for (const Bytes& share : shares) {
+    put.file_size += share.size();
+  }
+  return put;
+}
+
+FpQueryRequest QueryFor(UserId user, const std::vector<RecipeEntry>& recipe, size_t from) {
+  FpQueryRequest q;
+  q.user = user;
+  for (size_t i = from; i < recipe.size(); ++i) {
+    q.fps.push_back(recipe[i].fp);
+  }
+  return q;
+}
+
+// A conditional PutFile over shares the user already owns commits, and its
+// reply frame is byte-identical to an unconditional PutFile's on an
+// identically driven server.
+TEST_F(ServerServiceTest, ConditionalPutFileOverOwnedSharesCommits) {
+  MemBackend backend_a, backend_b;
+  auto a = NewServer(&backend_a, "a");
+  auto b = NewServer(&backend_b, "b");
+  const UserId user = 3;
+  std::vector<Bytes> shares = {MakeShare(1000), MakeShare(1001), MakeShare(1002)};
+  StoreFile(*a, user, "first", shares);
+  StoreFile(*b, user, "first", shares);
+
+  PutFileRequest put = CommitFor(user, "second", shares);
+  Bytes plain = Dispatch(*b, Encode(put));
+  put.query_from = 0;
+  Bytes conditional = Dispatch(*a, Encode(put));
+  ASSERT_TRUE(DecodeIfError(conditional).ok()) << DecodeIfError(conditional);
+  EXPECT_EQ(conditional, plain);
+  PutFileReply reply;
+  ASSERT_TRUE(Decode(conditional, &reply).ok());
+  EXPECT_FALSE(reply.duplicate.has_value());
+  EXPECT_EQ(reply.generation_id, 1u);
+
+  // The range may start anywhere up to the recipe's end (empty = vacuous).
+  put.path_key = BytesOf("third");
+  put.query_from = shares.size();
+  ASSERT_TRUE(Decode(Dispatch(*a, Encode(put)), &reply).ok());
+  EXPECT_FALSE(reply.duplicate.has_value());
+  put.query_from = shares.size() + 1;
+  EXPECT_EQ(DecodeIfError(Dispatch(*a, Encode(put))).code(), StatusCode::kInvalidArgument);
+}
+
+// A conditional PutFile that misses answers exactly what FpQuery answers
+// for its range and creates nothing.
+TEST_F(ServerServiceTest, ConditionalPutFileMissAnswersAsFpQuery) {
+  MemBackend backend;
+  auto server = NewServer(&backend, "miss");
+  const UserId user = 4;
+  std::vector<Bytes> owned = {MakeShare(1100), MakeShare(1101)};
+  StoreFile(*server, user, "owned", owned);
+  UploadSharesRequest up;  // stored, but not yet referenced by the user
+  up.user = user;
+  up.shares = {MakeShare(1102)};
+  ASSERT_TRUE(DecodeIfError(Dispatch(*server, Encode(up))).ok());
+  Bytes stats_before = Dispatch(*server, Encode(StatsRequest{}));
+
+  std::vector<Bytes> shares = {owned[0], MakeShare(1102), owned[1], MakeShare(1103)};
+  PutFileRequest put = CommitFor(user, "new", shares);
+  put.query_from = 1;
+  Bytes frame = Dispatch(*server, Encode(put));
+  PutFileReply reply;
+  ASSERT_TRUE(Decode(frame, &reply).ok()) << DecodeIfError(frame);
+  ASSERT_TRUE(reply.duplicate.has_value());
+  EXPECT_EQ(reply.generation_id, 0u);
+  FpQueryReply fq;
+  ASSERT_TRUE(Decode(Dispatch(*server, Encode(QueryFor(user, put.recipe, 1))), &fq).ok());
+  EXPECT_EQ(*reply.duplicate, fq.duplicate);
+  EXPECT_EQ(*reply.duplicate, (std::vector<uint8_t>{0, 1, 0}));
+
+  ListVersionsRequest lv;
+  lv.user = user;
+  lv.path_key = BytesOf("new");
+  ListVersionsReply versions;
+  Bytes lv_frame = Dispatch(*server, Encode(lv));
+  EXPECT_TRUE(DecodeIfError(lv_frame).code() == StatusCode::kNotFound ||
+              (Decode(lv_frame, &versions).ok() && versions.versions.empty()));
+  EXPECT_EQ(Dispatch(*server, Encode(StatsRequest{})), stats_before);
+}
+
+// A conditional PutFile can never claim a share by fingerprint alone: user
+// 2 naming user 1's share learns "not yours" (never "stored by someone"),
+// nothing commits, and the share stays unreadable to user 2.
+TEST_F(ServerServiceTest, ConditionalPutFileCannotClaimAnotherUsersShare) {
+  MemBackend backend;
+  auto server = NewServer(&backend, "claim");
+  std::vector<Bytes> shares = {MakeShare(1200)};
+  StoreFile(*server, /*user=*/1, "mine", shares);
+  Bytes stats_before = Dispatch(*server, Encode(StatsRequest{}));
+
+  PutFileRequest put = CommitFor(/*user=*/2, "theirs", shares);
+  put.query_from = 0;
+  PutFileReply reply;
+  ASSERT_TRUE(Decode(Dispatch(*server, Encode(put)), &reply).ok());
+  ASSERT_TRUE(reply.duplicate.has_value());
+  EXPECT_EQ(*reply.duplicate, std::vector<uint8_t>{0});
+  EXPECT_EQ(reply.generation_id, 0u);
+  EXPECT_EQ(Dispatch(*server, Encode(StatsRequest{})), stats_before);
+
+  GetSharesRequest get;
+  get.user = 2;
+  get.fps = {FingerprintOf(shares[0])};
+  EXPECT_EQ(DecodeIfError(Dispatch(*server, Encode(get))).code(),
+            StatusCode::kPermissionDenied);
+}
+
+// The commit riding on UploadShares is PutFile's commit: the same index
+// state, accounting and generation as UploadShares followed by PutFile.
+TEST_F(ServerServiceTest, UploadSharesCommitMatchesUploadThenPutFile) {
+  MemBackend backend_a, backend_b;
+  auto a = NewServer(&backend_a, "a");
+  auto b = NewServer(&backend_b, "b");
+  const UserId user = 8;
+  std::vector<Bytes> shares = {MakeShare(1300), MakeShare(1301), MakeShare(1302)};
+  PutFileRequest put = CommitFor(user, "merged", shares);
+  put.timestamp_ms = 777;
+
+  UploadSharesRequest up;
+  up.user = user;
+  up.shares = shares;
+  UploadSharesReply plain_ack;
+  ASSERT_TRUE(Decode(Dispatch(*a, Encode(up)), &plain_ack).ok());
+  EXPECT_FALSE(plain_ack.generation_id.has_value());
+  PutFileReply put_reply;
+  ASSERT_TRUE(Decode(Dispatch(*a, Encode(put)), &put_reply).ok());
+
+  up.commit = put;
+  UploadSharesReply merged_ack;
+  Bytes merged = Dispatch(*b, Encode(up));
+  ASSERT_TRUE(Decode(merged, &merged_ack).ok()) << DecodeIfError(merged);
+  EXPECT_EQ(merged_ack.stored, plain_ack.stored);
+  EXPECT_EQ(merged_ack.deduplicated, plain_ack.deduplicated);
+  EXPECT_EQ(merged_ack.generation_id, std::optional<uint64_t>(put_reply.generation_id));
+
+  EXPECT_EQ(Dispatch(*a, Encode(StatsRequest{})), Dispatch(*b, Encode(StatsRequest{})));
+  ListVersionsRequest lv;
+  lv.user = user;
+  lv.path_key = BytesOf("merged");
+  ListVersionsReply va, vb;
+  ASSERT_TRUE(Decode(Dispatch(*a, Encode(lv)), &va).ok());
+  ASSERT_TRUE(Decode(Dispatch(*b, Encode(lv)), &vb).ok());
+  ASSERT_EQ(va.versions.size(), 1u);
+  ASSERT_EQ(vb.versions.size(), 1u);
+  EXPECT_EQ(vb.versions[0].unique_bytes, va.versions[0].unique_bytes);
+  EXPECT_EQ(vb.versions[0].unique_bytes, 3u * 600u);
+  EXPECT_EQ(vb.versions[0].timestamp_ms, 777u);
+  EXPECT_EQ(Dispatch(*a, Encode(QueryFor(user, put.recipe, 0))),
+            Dispatch(*b, Encode(QueryFor(user, put.recipe, 0))));
+}
+
+// A merged commit that PutFile would refuse fails the whole RPC; the
+// batch's shares stay stored with no owner, like an abandoned upload.
+TEST_F(ServerServiceTest, FailingMergedCommitReturnsError) {
+  MemBackend backend;
+  auto server = NewServer(&backend, "fail");
+  const UserId user = 9;
+  std::vector<Bytes> shares = {MakeShare(1400), MakeShare(1401)};
+  UploadSharesRequest up;
+  up.user = user;
+  up.shares = shares;
+  up.commit = CommitFor(user, "broken", {shares[0], shares[1], MakeShare(1402)});
+  EXPECT_EQ(PeekType(Dispatch(*server, Encode(up))), MsgType::kError);
+
+  StatsReply stats;
+  ASSERT_TRUE(Decode(Dispatch(*server, Encode(StatsRequest{})), &stats).ok());
+  EXPECT_EQ(stats.unique_shares, 2u);
+  EXPECT_EQ(stats.file_count, 0u);
+  EXPECT_EQ(stats.generation_count, 0u);
+  FpQueryReply fq;
+  ASSERT_TRUE(Decode(Dispatch(*server, Encode(QueryFor(user, RecipeFor(shares), 0))), &fq).ok());
+  EXPECT_EQ(fq.duplicate, (std::vector<uint8_t>{0, 0}));
+
+  // An invalid request mode is refused exactly as PutFile refuses it.
+  up.commit = CommitFor(user, "repair", shares);
+  up.commit->mode = PutFileMode::kPutGeneration;
+  EXPECT_EQ(DecodeIfError(Dispatch(*server, Encode(up))).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeIfError(Dispatch(*server, Encode(*up.commit))).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // Flush() must surface container-seal failures instead of dropping them,
 // and a later flush retries the still-open containers.
 TEST_F(ServerServiceTest, FlushPropagatesContainerSealErrors) {

@@ -506,7 +506,9 @@ TEST(TraceEndToEndTest, TracedUploadYieldsOneConnectedTrace) {
   for (const TraceSpanSample& s : dump.spans) {
     serves += s.name == "serve" ? 1 : 0;
   }
-  EXPECT_GE(serves, 4u * 3u);  // FpQuery + UploadShares + PutFile per cloud
+  // A unique file costs a conditional PutFile (answered as a dedup miss)
+  // plus one UploadShares carrying the commit, per cloud.
+  EXPECT_EQ(serves, 4u * 2u);
 
   // And the whole thing exports as parseable Chrome JSON with every event.
   std::string json = ChromeTraceJson(dump.spans);
