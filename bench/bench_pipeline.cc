@@ -2,19 +2,22 @@
 // have real latency and finite bandwidth (the transport sleeps, so overlap
 // between compute and transfer is actually observable in wall-clock time):
 //
-//   1. barrier vs streaming upload (chunking config x encode threads),
-//   2. N one-shot uploads vs one multi-file BackupSession (per-file
+//   1. microbenchmarks of the SIMD kernel tiers the pipeline leans on
+//      (GF(256) region multiply, SHA-256 compression),
+//   2. streaming upload throughput (chunking config x encode threads),
+//   3. N one-shot uploads vs one multi-file BackupSession (per-file
 //      pipeline setup/teardown amortization),
-//   3. barrier vs pipelined sink-driven download (per-cloud fetch lanes
+//   4. pipelined sink-driven download throughput (per-cloud fetch lanes
 //      overlapped with decode workers), with per-cloud skew breakdown,
-//   4. microbenchmarks of the SIMD kernel tiers the pipeline leans on
-//      (GF(256) region multiply, SHA-256 compression).
+//   5. multi-client upload scaling against one server set,
+//   6. metrics and tracing overhead on a compute-bound upload.
 //
 // Emits one `BENCH_JSON {...}` line per measurement for trajectory
 // tracking, plus human-readable tables.
 //
 // Flags: --size_mb=48 --uplink_mbps=24 --latency_ms=2 --threads=2
-//        --files=16 --file_kb=512
+//        --files=16 --file_kb=512 --stream_batch_kb=1024 --queue_depth=64
+//        --shared_uplink=0 --mc_file_mb=8 --metrics_mb=16 --trace_mb=16
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -171,8 +174,8 @@ size_t g_stream_batch_bytes = 1 << 20;
 size_t g_queue_depth = 64;
 bool g_shared_uplink = false;
 
-double MeasureUploadMiBps(const Bytes& data, bool streaming, const ChunkConfig& chunks,
-                          int threads, double latency_s, double uplink_bytes_per_s) {
+double MeasureUploadMiBps(const Bytes& data, const ChunkConfig& chunks, int threads,
+                          double latency_s, double uplink_bytes_per_s) {
   auto world = MakeDeployment(latency_s, uplink_bytes_per_s, g_shared_uplink);
   std::vector<Transport*> transports;
   for (auto& t : world->transports) {
@@ -182,7 +185,6 @@ double MeasureUploadMiBps(const Bytes& data, bool streaming, const ChunkConfig& 
   opts.n = kN;
   opts.k = kK;
   opts.encode_threads = threads;
-  opts.streaming_upload = streaming;
   opts.fixed_chunking = chunks.fixed;
   opts.fixed_chunk_size = chunks.fixed_size;
   opts.stream_batch_bytes = g_stream_batch_bytes;
@@ -215,42 +217,29 @@ void BenchUpload(int argc, char** argv) {
 
   Bytes data = RandomData(total_bytes, 4242);
 
-  PrintHeader("Barrier vs streaming upload (wall clock, simulated clouds)");
+  PrintHeader("Streaming upload (wall clock, simulated clouds)");
   std::printf("(n,k)=(%d,%d), %zuMB, %.0fms/call latency, %.0fMB/s %s\n", kN, kK, size_mb,
               latency_ms, uplink_mbps,
               g_shared_uplink ? "shared client uplink" : "uplink per cloud");
-  std::printf("(single-core hosts understate the streaming gain: encode, server handlers\n"
-              " and uploaders time-share one CPU, so compute cannot fully hide in the wire)\n");
-  std::printf("%-12s %-9s %-14s %-14s %-9s\n", "Chunking", "Threads", "Barrier MB/s",
-              "Stream MB/s", "Speedup");
+  std::printf("%-12s %-9s %-14s\n", "Chunking", "Threads", "Stream MB/s");
 
   const ChunkConfig configs[] = {
       {"fixed4k", true, 4096},
       {"fixed8k", true, 8192},
       {"rabin8k", false, 0},
   };
-  double best_speedup = 0;
   const int thread_counts[] = {1, base_threads, 2 * base_threads};
   for (const ChunkConfig& cc : configs) {
     for (int threads : thread_counts) {
-      double barrier =
-          MeasureUploadMiBps(data, false, cc, threads, latency_s, uplink_bytes_per_s);
-      double stream =
-          MeasureUploadMiBps(data, true, cc, threads, latency_s, uplink_bytes_per_s);
-      double speedup = barrier > 0 ? stream / barrier : 0;
-      best_speedup = std::max(best_speedup, speedup);
-      std::printf("%-12s %-9d %-14.1f %-14.1f %-9.2f\n", cc.name, threads, barrier, stream,
-                  speedup);
+      double stream = MeasureUploadMiBps(data, cc, threads, latency_s, uplink_bytes_per_s);
+      std::printf("%-12s %-9d %-14.1f\n", cc.name, threads, stream);
       std::printf(
           "BENCH_JSON {\"bench\":\"pipeline_upload\",\"chunker\":\"%s\",\"threads\":%d,"
           "\"size_mb\":%zu,\"uplink_mbps\":%.1f,\"latency_ms\":%.1f,\"shared_uplink\":%d,"
-          "\"barrier_mibps\":%.2f,\"stream_mibps\":%.2f,\"speedup\":%.3f}\n",
-          cc.name, threads, size_mb, uplink_mbps, latency_ms, g_shared_uplink ? 1 : 0, barrier,
-          stream, speedup);
+          "\"stream_mibps\":%.2f}\n",
+          cc.name, threads, size_mb, uplink_mbps, latency_ms, g_shared_uplink ? 1 : 0, stream);
     }
   }
-  std::printf("BENCH_JSON {\"bench\":\"pipeline_upload_summary\",\"best_speedup\":%.3f}\n",
-              best_speedup);
 }
 
 ClientOptions BenchClientOptions(int threads) {
@@ -329,9 +318,8 @@ void BenchSession(int argc, char** argv) {
       files, file_kb, oneshot_s, session_s, speedup, per_file_saving_ms);
 }
 
-// Barrier download (fetch every cloud sequentially, then decode, then emit)
-// vs pipelined sink-driven download (per-cloud fetch lanes overlapped with
-// decode workers).
+// Pipelined sink-driven download: per-cloud fetch lanes overlapped with
+// decode workers.
 void BenchDownload(int argc, char** argv) {
   const size_t size_mb = static_cast<size_t>(FlagValue(argc, argv, "size_mb", 48));
   const double uplink_mbps = FlagValue(argc, argv, "uplink_mbps", 24);
@@ -354,37 +342,27 @@ void BenchDownload(int argc, char** argv) {
     }
   }
 
-  auto run = [&](bool pipelined, DownloadStats* stats) {
-    ClientOptions opts = BenchClientOptions(threads);
-    opts.pipelined_download = pipelined;
-    CdstoreClient client(transports, /*user=*/1, opts);
-    Bytes restored;
-    BufferByteSink sink(&restored);
-    Stopwatch watch;
-    Status st = client.Download("/bench", sink, stats);
-    double secs = watch.ElapsedSeconds();
-    if (!st.ok() || restored != data) {
-      std::fprintf(stderr, "download failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    return ToMiBps(data.size(), secs);
-  };
+  CdstoreClient client(transports, /*user=*/1, BenchClientOptions(threads));
+  Bytes restored;
+  BufferByteSink sink(&restored);
+  DownloadStats pipelined_stats;
+  Stopwatch watch;
+  Status st = client.Download("/bench", sink, &pipelined_stats);
+  double secs = watch.ElapsedSeconds();
+  if (!st.ok() || restored != data) {
+    std::fprintf(stderr, "download failed: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  double pipelined = ToMiBps(data.size(), secs);
 
-  PrintHeader("Barrier vs pipelined download (wall clock, simulated clouds)");
+  PrintHeader("Pipelined download (wall clock, simulated clouds)");
   std::printf("%zuMB, %.0fms/call latency, %.0fMB/s per cloud path\n", size_mb, latency_ms,
               uplink_mbps);
-  DownloadStats barrier_stats;
-  DownloadStats pipelined_stats;
-  double barrier = run(false, &barrier_stats);
-  double pipelined = run(true, &pipelined_stats);
-  double speedup = barrier > 0 ? pipelined / barrier : 0;
-  std::printf("barrier: %.1f MB/s   pipelined: %.1f MB/s   speedup %.2fx\n", barrier,
-              pipelined, speedup);
+  std::printf("pipelined: %.1f MB/s\n", pipelined);
   std::printf(
       "BENCH_JSON {\"bench\":\"pipeline_download\",\"size_mb\":%zu,\"uplink_mbps\":%.1f,"
-      "\"latency_ms\":%.1f,\"barrier_mibps\":%.2f,\"pipelined_mibps\":%.2f,"
-      "\"speedup\":%.3f}\n",
-      size_mb, uplink_mbps, latency_ms, barrier, pipelined, speedup);
+      "\"latency_ms\":%.1f,\"pipelined_mibps\":%.2f}\n",
+      size_mb, uplink_mbps, latency_ms, pipelined);
   // Per-cloud skew: which clouds actually served the restore, and how much.
   for (size_t c = 0; c < pipelined_stats.per_cloud.size(); ++c) {
     const CloudDownloadStats& cs = pipelined_stats.per_cloud[c];
@@ -513,10 +491,10 @@ void BenchMetricsOverhead(int argc, char** argv) {
   double on = 0;
   for (int rep = 0; rep < 3; ++rep) {
     g_metrics = nullptr;
-    off = std::max(off, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+    off = std::max(off, MeasureUploadMiBps(data, cc, threads, 0.0, 0.0));
     MetricRegistry registry;
     g_metrics = &registry;
-    on = std::max(on, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+    on = std::max(on, MeasureUploadMiBps(data, cc, threads, 0.0, 0.0));
     g_metrics = nullptr;
   }
   double overhead_pct = off > 0 ? (off - on) / off * 100.0 : 0;
@@ -547,7 +525,7 @@ void BenchTraceOverhead(int argc, char** argv) {
   double sampled = 0;
   for (int rep = 0; rep < 3; ++rep) {
     g_tracer = nullptr;
-    off = std::max(off, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+    off = std::max(off, MeasureUploadMiBps(data, cc, threads, 0.0, 0.0));
     {
       // sample_every_n beyond the request count: the tracer is live on
       // every span site but no request wins the sampling lottery.
@@ -556,12 +534,12 @@ void BenchTraceOverhead(int argc, char** argv) {
       topts.slow_threshold_ns = UINT64_MAX;
       Tracer tracer(topts);
       g_tracer = &tracer;
-      unsampled = std::max(unsampled, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+      unsampled = std::max(unsampled, MeasureUploadMiBps(data, cc, threads, 0.0, 0.0));
     }
     {
       Tracer tracer;  // defaults: every request sampled
       g_tracer = &tracer;
-      sampled = std::max(sampled, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+      sampled = std::max(sampled, MeasureUploadMiBps(data, cc, threads, 0.0, 0.0));
     }
     g_tracer = nullptr;
   }

@@ -208,12 +208,11 @@ void BackupSession::UploaderLoop(size_t lane) {
     ScopedTraceParent trace_parent(w->trace_.context());
     ScopedSpan lane_span(client_->opts_.tracer, "uploader");
     lane_span.AnnotateKV("cloud", static_cast<uint64_t>(cloud));
-    Status st = client_->StreamUploadToCloud(cloud, static_cast<int>(lane),
-                                             w->path_keys_[cloud], &w->path_id_,
-                                             w->path_name_len_, &w->file_size_,
-                                             &w->upload_opts_, &w->pool_, &w->abort_,
-                                             &w->file_stats_, &w->stats_mu_,
-                                             &w->lane_generations_[lane]);
+    Status st = client_->StreamToCloud(cloud, static_cast<int>(lane), w->path_keys_[cloud],
+                                       &w->path_id_, w->path_name_len_, &w->file_size_,
+                                       &w->upload_opts_, &w->pool_, &w->abort_,
+                                       &w->file_stats_, &w->stats_mu_,
+                                       &w->lane_generations_[lane]);
     w->cloud_promises_[lane].set_value(st);
   }
 }
@@ -436,13 +435,6 @@ Status BackupSession::UploadWriter::Finish(UploadStats* stats) {
 
 Status CdstoreClient::Upload(const std::string& path_name, ConstByteSpan data,
                              UploadStats* stats, const UploadFileOptions& options) {
-  if (!opts_.streaming_upload) {
-    ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
-    TraceRequest trace(opts_.tracer, "upload");
-    ScopedTraceParent trace_parent(trace.context());
-    return UploadBarrier(path_keys, PathIdOf(path_name),
-                         static_cast<uint32_t>(path_name.size()), data, options, stats);
-  }
   // Thin wrapper: a one-file session. Chunking, encoding, dedup, transfer,
   // and stats are identical to any other session upload.
   ASSIGN_OR_RETURN(std::unique_ptr<BackupSession> session, OpenBackupSession());
@@ -494,14 +486,12 @@ Result<uint64_t> CdstoreClient::CommitUpload(int cloud, UploadSharesRequest last
 // The commit rides on the last transfer batch; a file with no unique share
 // found by stream end instead sends a conditional PutFile, which doubles
 // as the tail dedup query.
-Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& path_key,
-                                          const Bytes* path_id, uint32_t path_name_len,
-                                          const uint64_t* file_size,
-                                          const UploadFileOptions* fopts,
-                                          BroadcastQueue<CodingPipeline::EncodedSecret>* in,
-                                          const std::atomic<bool>* abort_upload,
-                                          UploadStats* stats, Mutex* stats_mu,
-                                          uint64_t* bound_generation) {
+Status CdstoreClient::StreamToCloud(int cloud, int consumer, const Bytes& path_key,
+                                    const Bytes* path_id, uint32_t path_name_len,
+                                    const uint64_t* file_size, const UploadFileOptions* fopts,
+                                    BroadcastQueue<CodingPipeline::EncodedSecret>* in,
+                                    const std::atomic<bool>* abort_upload, UploadStats* stats,
+                                    Mutex* stats_mu, uint64_t* bound_generation) {
   // The file's commit; its recipe grows in stream order.
   PutFileRequest put;
   put.user = user_;
@@ -743,175 +733,6 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
   return Status::Ok();
 }
 
-Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Bytes& path_id,
-                                    uint32_t path_name_len, uint64_t file_size,
-                                    const UploadFileOptions& fopts,
-                                    const std::vector<RecipeEntry>& recipe,
-                                    const std::vector<const Bytes*>& shares,
-                                    UploadStats* stats, Mutex* stats_mu,
-                                    uint64_t* bound_generation) {
-  uint64_t rpcs = 0;
-
-  // 1. A conditional PutFile doubles as the intra-user dedup query
-  // (§3.3): a file this user already holds whole commits right here, and
-  // any other gets FpQuery's answer for the whole recipe.
-  PutFileRequest put;
-  put.user = user_;
-  put.path_key = path_key;
-  put.path_id = path_id;
-  put.path_name_len = path_name_len;
-  put.file_size = file_size;
-  put.mode = fopts.mode;
-  put.generation_id = fopts.generation_id;
-  put.timestamp_ms = fopts.timestamp_ms;
-  put.recipe = recipe;
-  put.query_from = 0;
-  ++rpcs;
-  ASSIGN_OR_RETURN(PutFileReply answer, CallDecoded<PutFileReply>(cloud, Encode(put)));
-  std::vector<uint8_t> duplicate =
-      answer.duplicate.value_or(std::vector<uint8_t>(recipe.size(), 1));
-  if (duplicate.size() != recipe.size()) {
-    return Status::Internal("dedup answer arity mismatch");
-  }
-
-  // Deduplicate within this upload as well: identical secrets produce
-  // identical shares, and only the first instance needs transfer.
-  std::vector<uint8_t> send(recipe.size(), 0);
-  std::unordered_set<Fingerprint, FingerprintHash> in_flight;
-  uint64_t transferred = 0;
-  uint64_t dup = 0;
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (duplicate[i] != 0 || in_flight.count(recipe[i].fp) > 0) {
-      ++dup;
-      continue;
-    }
-    send[i] = 1;
-    in_flight.insert(recipe[i].fp);
-  }
-
-  uint64_t generation = answer.generation_id;
-  if (answer.duplicate.has_value()) {
-    // 2. Upload unique shares in 4MB batches (§4.1). A full batch goes out
-    // only once another share needs room, so the last one is still here to
-    // carry the commit (§4.3 metadata + recipe).
-    UploadSharesRequest batch;
-    batch.user = user_;
-    size_t batch_bytes = 0;
-    for (size_t i = 0; i < recipe.size(); ++i) {
-      if (send[i] == 0) {
-        continue;
-      }
-      if (batch_bytes >= opts_.upload_batch_bytes) {
-        ++rpcs;
-        RETURN_IF_ERROR(CallDecoded<UploadSharesReply>(cloud, Encode(batch)).status());
-        batch.shares.clear();
-        batch_bytes = 0;
-      }
-      batch.shares.push_back(*shares[i]);
-      batch_bytes += shares[i]->size();
-      transferred += shares[i]->size();
-    }
-    // 3. Finalize.
-    ASSIGN_OR_RETURN(generation, CommitUpload(cloud, std::move(batch), std::move(put), &rpcs));
-  }
-  if (bound_generation != nullptr) {
-    *bound_generation = generation;
-  }
-
-  if (stats != nullptr) {
-    MutexLock lock(*stats_mu);
-    stats->transferred_share_bytes += transferred;
-    stats->intra_duplicate_shares += dup;
-    CloudUploadStats& slot = CloudSlot(stats, cloud);
-    slot.transferred_share_bytes += transferred;
-    slot.intra_duplicate_shares += dup;
-    slot.rpcs += rpcs;
-  }
-  CountCloud("cdstore_client_dedup_hits_total", cloud, dup);
-  CountCloud("cdstore_client_dedup_misses_total", cloud, in_flight.size());
-  CountCloud("cdstore_client_transferred_share_bytes_total", cloud, transferred);
-  return Status::Ok();
-}
-
-Status CdstoreClient::UploadBarrier(const std::vector<Bytes>& path_keys, const Bytes& path_id,
-                                    uint32_t path_name_len, ConstByteSpan data,
-                                    const UploadFileOptions& fopts, UploadStats* stats) {
-  Stopwatch compute_watch;
-
-  // 1. Chunking (§4.2).
-  auto chunker = MakeChunker();
-  std::vector<Bytes> secrets;
-  auto sink = [&secrets](ConstByteSpan c) { secrets.emplace_back(c.begin(), c.end()); };
-  chunker->Update(data, sink);
-  chunker->Finish(sink);
-
-  // 2. Parallel convergent dispersal (§4.6).
-  std::vector<std::vector<Bytes>> shares;
-  RETURN_IF_ERROR(pipeline_.EncodeAll(secrets, &shares));
-  double compute_s = compute_watch.ElapsedSeconds();
-  if (metrics_.encode_ns_per_mb != nullptr && !data.empty()) {
-    metrics_.encode_ns_per_mb->Observe(static_cast<uint64_t>(
-        compute_s * 1e9 * (1 << 20) / static_cast<double>(data.size())));
-  }
-
-  // 3. Per-cloud recipes and share lists (share i -> cloud i, §3.2).
-  std::vector<std::vector<RecipeEntry>> recipes(opts_.n);
-  std::vector<std::vector<const Bytes*>> cloud_shares(opts_.n);
-  uint64_t logical_share_bytes = 0;
-  for (size_t s = 0; s < secrets.size(); ++s) {
-    for (int i = 0; i < opts_.n; ++i) {
-      const Bytes& share = shares[s][i];
-      RecipeEntry e;
-      e.fp = FingerprintOf(share);
-      e.secret_size = static_cast<uint32_t>(secrets[s].size());
-      e.share_size = static_cast<uint32_t>(share.size());
-      recipes[i].push_back(std::move(e));
-      cloud_shares[i].push_back(&share);
-      logical_share_bytes += share.size();
-    }
-  }
-  if (stats != nullptr) {
-    stats->logical_bytes += data.size();
-    stats->num_secrets += secrets.size();
-    stats->logical_share_bytes += logical_share_bytes;
-    stats->chunk_encode_seconds += compute_s;
-  }
-
-  // 4. Upload to all clouds concurrently (§4.6: one thread per cloud).
-  Mutex stats_mu;
-  std::vector<Status> results(opts_.n);
-  std::vector<uint64_t> bound_gens(opts_.n, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(opts_.n);
-  TraceContext trace_ctx = CurrentTraceContext();
-  for (int i = 0; i < opts_.n; ++i) {
-    threads.emplace_back([&, i, trace_ctx]() {
-      ScopedTraceParent trace_parent(trace_ctx);
-      ScopedSpan lane_span(opts_.tracer, "uploader");
-      lane_span.AnnotateKV("cloud", static_cast<uint64_t>(i));
-      results[i] = UploadToCloud(i, path_keys[i], path_id, path_name_len, data.size(), fopts,
-                                 recipes[i], cloud_shares[i], stats, &stats_mu,
-                                 &bound_gens[i]);
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  for (int i = 0; i < opts_.n; ++i) {
-    if (!results[i].ok()) {
-      return Status(results[i].code(),
-                    "cloud " + std::to_string(i) + ": " + results[i].message());
-    }
-  }
-  std::vector<int> cloud_ids(opts_.n);
-  std::iota(cloud_ids.begin(), cloud_ids.end(), 0);
-  RETURN_IF_ERROR(CheckGenerationLockstep(cloud_ids, bound_gens));
-  if (stats != nullptr) {
-    stats->generation_id = bound_gens[0];
-  }
-  return Status::Ok();
-}
-
 // -------------------------------------------------------------- download --
 
 Result<CdstoreClient::FetchedRecipe> CdstoreClient::FetchRecipe(int cloud,
@@ -931,32 +752,24 @@ Result<CdstoreClient::FetchedRecipe> CdstoreClient::FetchRecipe(int cloud,
   return out;
 }
 
-Status CdstoreClient::FetchShares(int cloud, const std::vector<RecipeEntry>& recipe,
-                                  size_t begin, FetchedShares* out) {
-  out->shares.reserve(recipe.size());
-  while (begin < recipe.size()) {
-    size_t end = BatchEnd(recipe, begin, opts_.download_batch_bytes);
-    GetSharesRequest req;
-    req.user = user_;
-    req.fps.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      req.fps.push_back(recipe[i].fp);
-    }
-    ++out->rpcs;
-    ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
-    RETURN_IF_ERROR(DecodeIfError(frame));
-    std::vector<ConstByteSpan> spans;
-    RETURN_IF_ERROR(DecodeShareSpans(frame, &spans));
-    if (spans.size() != req.fps.size()) {
-      return Status::Internal("share reply arity mismatch");
-    }
-    // Adopting the frame moves only the vector header; the heap buffer the
-    // spans point into stays put.
-    out->frames.push_back(std::move(frame));
-    out->shares.insert(out->shares.end(), spans.begin(), spans.end());
-    begin = end;
+Result<CdstoreClient::ShareBatch> CdstoreClient::FetchShares(
+    int cloud, const std::vector<RecipeEntry>& recipe, size_t begin, size_t end) {
+  GetSharesRequest req;
+  req.user = user_;
+  req.fps.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    req.fps.push_back(recipe[i].fp);
   }
-  return Status::Ok();
+  ShareBatch out;
+  out.cloud = cloud;
+  ASSIGN_OR_RETURN(out.frame, CallCloud(cloud, Encode(req)));
+  RETURN_IF_ERROR(DecodeIfError(out.frame));
+  // The spans view out.frame; moving the frame keeps its buffer.
+  RETURN_IF_ERROR(DecodeShareSpans(out.frame, &out.shares));
+  if (out.shares.size() != end - begin) {
+    return Status::Internal("share reply arity mismatch");
+  }
+  return out;
 }
 
 Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
@@ -977,12 +790,11 @@ Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
     if (!recipe.ok() || recipe.value().reply.recipe.size() != num_secrets) {
       continue;
     }
-    std::vector<RecipeEntry> one = {recipe.value().reply.recipe[s]};
-    FetchedShares extra;
-    if (!FetchShares(i, one, 0, &extra).ok() || extra.shares.size() != 1) {
+    auto extra = FetchShares(i, recipe.value().reply.recipe, s, s + 1);
+    if (!extra.ok()) {
       continue;
     }
-    ConstByteSpan share = extra.shares[0];
+    ConstByteSpan share = extra.value().shares[0];
     all_ids.push_back(i);
     all_shares.emplace_back(share.begin(), share.end());
   }
@@ -994,10 +806,7 @@ Status CdstoreClient::Download(const std::string& path_name, ByteSink& sink,
   ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
   TraceRequest trace(opts_.tracer, "download");
   ScopedTraceParent trace_parent(trace.context());
-  if (opts_.pipelined_download) {
-    return DownloadPipelined(path_keys, generation, sink, stats);
-  }
-  return DownloadBarrier(path_keys, generation, sink, stats);
+  return DownloadPipelined(path_keys, generation, sink, stats);
 }
 
 Result<Bytes> CdstoreClient::Download(const std::string& path_name, DownloadStats* stats,
@@ -1022,22 +831,16 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   const int n = opts_.n;
   const size_t k = static_cast<size_t>(opts_.k);
 
-  // One cloud's share spans for one batch; the frame owns the bytes.
-  struct Delivery {
-    int cloud = -1;
-    Bytes frame;
-    std::vector<ConstByteSpan> shares;
-  };
   struct Lane {
     int cloud = -1;
     std::vector<RecipeEntry> recipe;
-    Delivery prefetch;  // the GetFile reply's first-batch shares
+    ShareBatch prefetch;  // the GetFile reply's first-batch shares
     size_t first_batch = 0;
   };
   struct Ctx {
     Mutex mu;
     CondVar cv;
-    std::vector<std::vector<Delivery>> slots GUARDED_BY(mu);  // per batch, complete at k
+    std::vector<std::vector<ShareBatch>> slots GUARDED_BY(mu);  // per batch, complete at k
     size_t next_decode GUARDED_BY(mu) = 0;
     bool failed GUARDED_BY(mu) = false;
     Status fail_status GUARDED_BY(mu);
@@ -1175,7 +978,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
         ctx.slots[0].push_back(std::move(lane.prefetch));
         lane.first_batch = 1;
       }
-      lane.prefetch = Delivery{};
+      lane.prefetch = ShareBatch{};
     }
   }
 
@@ -1233,30 +1036,9 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
         ++ctx.rpcs[lane.cloud];
       }
       auto [begin, end] = batches[b];
-      GetSharesRequest req;
-      req.user = user_;
-      req.fps.reserve(end - begin);
-      for (size_t s = begin; s < end; ++s) {
-        req.fps.push_back(lane.recipe[s].fp);
-      }
-      Delivery d;
-      d.cloud = lane.cloud;
-      Status st;
-      auto frame = CallCloud(lane.cloud, Encode(req));
-      if (!frame.ok()) {
-        st = frame.status();
-      } else {
-        st = DecodeIfError(frame.value());
-        if (st.ok()) {
-          d.frame = std::move(frame.value());
-          st = DecodeShareSpans(d.frame, &d.shares);
-          if (st.ok() && d.shares.size() != end - begin) {
-            st = Status::Internal("share reply arity mismatch");
-          }
-        }
-      }
-      if (!st.ok()) {
-        if (!recruit_spare(&lane, st)) {
+      auto fetched = FetchShares(lane.cloud, lane.recipe, begin, end);
+      if (!fetched.ok()) {
+        if (!recruit_spare(&lane, fetched.status())) {
           return;
         }
         continue;  // retry this batch on the replacement cloud
@@ -1264,7 +1046,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
       bool complete;
       {
         MutexLock lock(ctx.mu);
-        ctx.slots[b].push_back(std::move(d));
+        ctx.slots[b].push_back(std::move(fetched.value()));
         complete = ctx.slots[b].size() == k;
       }
       if (complete) {
@@ -1294,14 +1076,14 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   uint64_t received = 0;
   std::vector<uint64_t> received_per_cloud(n, 0);
   // Normally filled from batch deliveries; for a zero-batch (empty) file,
-  // seeded with the recruited lanes so the stat matches the barrier path.
+  // seeded with the recruited lanes (the clouds that served its recipe).
   std::set<int> clouds_used;
   if (batches.empty()) {
     clouds_used.insert(initial_clouds.begin(), initial_clouds.end());
   }
   int brute_forced = 0;
   for (size_t b = 0; b < batches.size() && result.ok(); ++b) {
-    std::vector<Delivery> batch;
+    std::vector<ShareBatch> batch;
     {
       MutexLock lock(ctx.mu);
       ctx.cv.Wait(ctx.mu, [&]() REQUIRES(ctx.mu) {
@@ -1318,7 +1100,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
     size_t count = end - begin;
     std::vector<int> ids;
     ids.reserve(batch.size());
-    for (const Delivery& d : batch) {
+    for (const ShareBatch& d : batch) {
       ids.push_back(d.cloud);
       clouds_used.insert(d.cloud);
     }
@@ -1327,7 +1109,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
     std::vector<size_t> sizes(count);
     for (size_t j = 0; j < count; ++j) {
       per_secret[j].reserve(batch.size());
-      for (const Delivery& d : batch) {
+      for (const ShareBatch& d : batch) {
         per_secret[j].push_back(d.shares[j]);
         received += d.shares[j].size();
         received_per_cloud[d.cloud] += d.shares[j].size();
@@ -1413,135 +1195,6 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
       }
       CloudDownloadStats& slot = CloudSlot(stats, c);
       slot.rpcs += ctx.rpcs[c];
-      slot.received_share_bytes += received_per_cloud[c];
-    }
-  }
-  return Status::Ok();
-}
-
-Status CdstoreClient::DownloadBarrier(const std::vector<Bytes>& path_keys,
-                                      uint64_t generation, ByteSink& sink,
-                                      DownloadStats* stats) {
-  // Collect recipes + all shares from any k reachable clouds (§3.1), then
-  // decode everything, then emit — the fetch-then-decode barrier the
-  // pipelined path removes; kept for comparison benchmarks and tests.
-  const int n = opts_.n;
-  std::vector<int> clouds;
-  std::vector<std::vector<RecipeEntry>> recipes;
-  std::vector<FetchedShares> cloud_share_lists;
-  std::vector<uint64_t> rpcs_per_cloud(n, 0);
-  uint64_t file_size = 0;
-  size_t num_secrets = 0;
-  uint64_t resolved_gen = generation;
-  bool have_meta = false;
-  Status last_error = Status::Unavailable("no cloud reachable");
-  for (int i = 0; i < n && clouds.size() < static_cast<size_t>(opts_.k); ++i) {
-    ++rpcs_per_cloud[i];
-    auto fetched = FetchRecipe(i, path_keys[i], have_meta ? resolved_gen : generation,
-                               opts_.download_batch_bytes);
-    if (!fetched.ok()) {
-      last_error = fetched.status();
-      continue;
-    }
-    GetFileReply& reply = fetched.value().reply;
-    if (!have_meta) {
-      file_size = reply.file_size;
-      num_secrets = reply.recipe.size();
-      resolved_gen = reply.generation_id;
-      have_meta = true;
-    } else if (reply.generation_id != resolved_gen) {
-      last_error = Status::Corruption("generation mismatch across clouds");
-      continue;
-    } else if (reply.recipe.size() != num_secrets) {
-      last_error = Status::Corruption("recipe length mismatch across clouds");
-      continue;
-    }
-    // The first batch came with the recipe (same rule as the pipelined
-    // path): GetShares covers the rest.
-    FetchedShares shares;
-    if (reply.shares.size() == BatchEnd(reply.recipe, 0, opts_.download_batch_bytes)) {
-      shares.shares = std::move(reply.shares);
-      shares.frames.push_back(std::move(fetched.value().frame));
-    }
-    Status st = FetchShares(i, reply.recipe, shares.shares.size(), &shares);
-    if (!st.ok()) {
-      last_error = st;
-      continue;
-    }
-    rpcs_per_cloud[i] += shares.rpcs;
-    clouds.push_back(i);
-    recipes.push_back(std::move(reply.recipe));
-    cloud_share_lists.push_back(std::move(shares));
-  }
-  if (clouds.size() < static_cast<size_t>(opts_.k)) {
-    return Status(last_error.code(),
-                  "fewer than k clouds available: " + last_error.message());
-  }
-
-  // Regroup per secret (spans into the reply frames) and decode in
-  // parallel.
-  std::vector<std::vector<int>> ids(num_secrets, clouds);
-  std::vector<std::vector<ConstByteSpan>> per_secret(num_secrets);
-  std::vector<size_t> sizes(num_secrets);
-  uint64_t received = 0;
-  std::vector<uint64_t> received_per_cloud(n, 0);
-  for (size_t s = 0; s < num_secrets; ++s) {
-    per_secret[s].reserve(clouds.size());
-    for (size_t c = 0; c < clouds.size(); ++c) {
-      ConstByteSpan share = cloud_share_lists[c].shares[s];
-      received += share.size();
-      received_per_cloud[clouds[c]] += share.size();
-      per_secret[s].push_back(share);
-    }
-    sizes[s] = recipes[0][s].secret_size;
-  }
-  std::vector<Bytes> secrets;
-  Status decode_status;
-  {
-    ScopedSpan decode_span(opts_.tracer, "decode_batch");
-    decode_span.AnnotateKV("secrets", num_secrets);
-    decode_status = decode_pipeline_.DecodeAll(ids, per_secret, sizes, &secrets);
-  }
-
-  int brute_forced = 0;
-  if (!decode_status.ok()) {
-    // Per-secret fallback (§3.2).
-    for (size_t s = 0; s < num_secrets; ++s) {
-      Bytes out;
-      if (scheme_->DecodeSpans(ids[s], per_secret[s], sizes[s], &out).ok()) {
-        secrets[s] = std::move(out);
-        continue;
-      }
-      std::vector<Bytes> have;
-      have.reserve(per_secret[s].size());
-      for (ConstByteSpan sp : per_secret[s]) {
-        have.emplace_back(sp.begin(), sp.end());
-      }
-      RETURN_IF_ERROR(BruteForceSecret(path_keys, resolved_gen, s, num_secrets, ids[s],
-                                       std::move(have), sizes[s], &secrets[s]));
-      ++brute_forced;
-    }
-  }
-
-  uint64_t delivered = 0;
-  for (const Bytes& s : secrets) {
-    delivered += s.size();
-    RETURN_IF_ERROR(sink.Append(s));
-  }
-  if (delivered != file_size) {
-    return Status::Corruption("restored size mismatch");
-  }
-  if (stats != nullptr) {
-    stats->received_share_bytes += received;
-    stats->num_secrets += num_secrets;
-    stats->brute_force_recoveries += brute_forced;
-    stats->clouds_used = clouds;
-    for (int c = 0; c < n; ++c) {
-      if (rpcs_per_cloud[c] == 0 && received_per_cloud[c] == 0) {
-        continue;
-      }
-      CloudDownloadStats& slot = CloudSlot(stats, c);
-      slot.rpcs += rpcs_per_cloud[c];
       slot.received_share_bytes += received_per_cloud[c];
     }
   }

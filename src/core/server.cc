@@ -223,13 +223,10 @@ Status CdstoreServer::LoadMeta() {
     RETURN_IF_ERROR(r.GetU64(&recipe_next));
     RETURN_IF_ERROR(r.GetU64(&stored_bytes));
     RETURN_IF_ERROR(r.GetU64(&files));
-    if (r.remaining() >= 8) {
-      RETURN_IF_ERROR(r.GetU64(&generations));
-    } else {
-      // Meta written before the namespace totals existed: recount once
-      // from the generation keyspace; the counter is maintained from here.
-      ASSIGN_OR_RETURN(generations, file_index_.TotalGenerationCount());
+    if (r.remaining() < 8) {
+      return Status::Corruption("server meta record lacks the generation total");
     }
+    RETURN_IF_ERROR(r.GetU64(&generations));
     {
       MutexLock commit(commit_mu_);
       physical_share_bytes_ = stored_bytes;

@@ -26,25 +26,6 @@ void AppendU64Be(Bytes* key, uint64_t v) {
 }
 }  // namespace
 
-Bytes FileIndexEntry::Serialize() const {
-  BufferWriter w;
-  w.PutU64(file_size);
-  w.PutU64(num_secrets);
-  w.PutU64(recipe_container_id);
-  w.PutU32(recipe_index);
-  return w.Take();
-}
-
-Result<FileIndexEntry> FileIndexEntry::Deserialize(ConstByteSpan data) {
-  FileIndexEntry e;
-  BufferReader r(data);
-  RETURN_IF_ERROR(r.GetU64(&e.file_size));
-  RETURN_IF_ERROR(r.GetU64(&e.num_secrets));
-  RETURN_IF_ERROR(r.GetU64(&e.recipe_container_id));
-  RETURN_IF_ERROR(r.GetU32(&e.recipe_index));
-  return e;
-}
-
 Bytes GenerationRecord::Serialize() const {
   BufferWriter w;
   w.PutU64(generation_id);
@@ -360,75 +341,6 @@ Result<PathScanPage> FileIndex::ScanPaths(UserId user, ConstByteSpan cursor, siz
     page.entries.push_back(std::move(entry));
   }
   return page;  // namespace exhausted: next_cursor stays empty
-}
-
-Status FileIndex::PutFile(UserId user, ConstByteSpan path_key, const FileIndexEntry& entry) {
-  // Legacy overwrite: rewrite the latest generation in place (one atomic
-  // batch, id unchanged), matching the server's kReplaceLatest semantics.
-  GenerationRecord rec;
-  rec.file_size = entry.file_size;
-  rec.num_secrets = entry.num_secrets;
-  rec.recipe_container_id = entry.recipe_container_id;
-  rec.recipe_index = entry.recipe_index;
-  ASSIGN_OR_RETURN(std::optional<PathHead> head,
-                   GetHeadByHash(user, Sha256::Hash(path_key)));
-  if (head.has_value() && head->latest_generation != 0) {
-    rec.generation_id = head->latest_generation;
-    return PutGeneration(user, path_key, rec, /*new_path=*/nullptr);
-  }
-  return AppendGeneration(user, path_key, rec, /*new_path=*/nullptr).status();
-}
-
-Result<FileIndexEntry> FileIndex::GetFile(UserId user, ConstByteSpan path_key) {
-  ASSIGN_OR_RETURN(GenerationRecord rec, GetGeneration(user, path_key, /*generation=*/0));
-  FileIndexEntry e;
-  e.file_size = rec.file_size;
-  e.num_secrets = rec.num_secrets;
-  e.recipe_container_id = rec.recipe_container_id;
-  e.recipe_index = rec.recipe_index;
-  return e;
-}
-
-Status FileIndex::DeleteFile(UserId user, ConstByteSpan path_key) {
-  Bytes hash = Sha256::Hash(path_key);
-  ASSIGN_OR_RETURN(std::vector<GenerationRecord> gens, ListGenerationsHashed(user, hash));
-  WriteBatch batch;
-  for (const GenerationRecord& g : gens) {
-    batch.Delete(GenKeyForHash(user, hash, g.generation_id));
-  }
-  batch.Delete(HeadKeyForHash(user, hash));
-  return db_->Write(batch);
-}
-
-Result<uint64_t> FileIndex::FileCount(UserId user) {
-  Bytes prefix;
-  prefix.push_back(kHeadPrefix);
-  AppendUserBe(&prefix, user);
-  uint64_t count = 0;
-  auto it = db_->NewIterator();
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    const Bytes& k = it->key();
-    if (k.size() < prefix.size() || !std::equal(prefix.begin(), prefix.end(), k.begin())) {
-      break;
-    }
-    ++count;
-  }
-  return count;
-}
-
-Result<uint64_t> FileIndex::TotalGenerationCount() {
-  Bytes prefix;
-  prefix.push_back(kGenPrefix);
-  uint64_t count = 0;
-  auto it = db_->NewIterator();
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    const Bytes& k = it->key();
-    if (k.empty() || k[0] != static_cast<uint8_t>(kGenPrefix)) {
-      break;
-    }
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace cdstore

@@ -52,7 +52,7 @@ class CdstoreSystemTest : public ::testing::Test {
   }
 
   StatsReply ServerStats(int i) {
-    Bytes frame = servers_[i]->Handle(Encode(StatsRequest{}));
+    Bytes frame = Dispatch(*servers_[i], Encode(StatsRequest{}));
     StatsReply reply;
     EXPECT_TRUE(Decode(frame, &reply).ok());
     return reply;
@@ -163,7 +163,7 @@ TEST_F(CdstoreSystemTest, SideChannelFpQueryDoesNotLeakOtherUsers) {
     ASSERT_TRUE(scheme->Encode(secret, &shares).ok());
     query.fps.push_back(FingerprintOf(shares[0]));
   }
-  Bytes frame = servers_[0]->Handle(Encode(query));
+  Bytes frame = Dispatch(*servers_[0], Encode(query));
   FpQueryReply reply;
   ASSERT_TRUE(Decode(frame, &reply).ok());
   for (uint8_t dup : reply.duplicate) {
@@ -193,7 +193,7 @@ TEST_F(CdstoreSystemTest, GetSharesRequiresOwnership) {
   GetSharesRequest req;
   req.user = 666;  // not an owner
   req.fps = {FingerprintOf(shares[0])};
-  Bytes frame = servers_[0]->Handle(Encode(req));
+  Bytes frame = Dispatch(*servers_[0], Encode(req));
   Status st = DecodeIfError(frame);
   EXPECT_EQ(st.code(), StatusCode::kPermissionDenied);
 }

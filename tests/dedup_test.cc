@@ -111,33 +111,50 @@ TEST_F(DedupTest, EraseRemovesEntry) {
 
 TEST_F(DedupTest, FileIndexPutGetDelete) {
   FileIndex files(db_.get());
-  FileIndexEntry entry;
-  entry.file_size = 1000;
-  entry.num_secrets = 3;
-  entry.recipe_container_id = 12;
-  entry.recipe_index = 4;
+  GenerationRecord rec;
+  rec.file_size = 1000;
+  rec.num_secrets = 3;
+  rec.recipe_container_id = 12;
+  rec.recipe_index = 4;
   Bytes path_key = BytesOf("encoded-path-share");
-  ASSERT_TRUE(files.PutFile(7, path_key, entry).ok());
-  auto got = files.GetFile(7, path_key);
+  bool new_path = false;
+  auto stored = files.AppendGeneration(7, path_key, rec, &new_path);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_TRUE(new_path);
+  EXPECT_EQ(stored.value().generation_id, 1u);
+  auto got = files.GetGeneration(7, path_key, /*generation=*/0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().file_size, 1000u);
   EXPECT_EQ(got.value().recipe_container_id, 12u);
   // A different user cannot see the file.
-  EXPECT_EQ(files.GetFile(8, path_key).status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(files.DeleteFile(7, path_key).ok());
-  EXPECT_EQ(files.GetFile(7, path_key).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(files.GetGeneration(8, path_key, 0).status().code(), StatusCode::kNotFound);
+  bool path_removed = false;
+  ASSERT_TRUE(files.DeleteGeneration(7, path_key, 1, &path_removed).ok());
+  EXPECT_TRUE(path_removed);
+  EXPECT_EQ(files.GetGeneration(7, path_key, 0).status().code(), StatusCode::kNotFound);
+}
+
+// Paths (not generations) a user has stored, counted by a namespace scan.
+size_t PathCount(FileIndex& files, UserId user) {
+  auto page = files.ScanPaths(user, {}, /*limit=*/100);
+  EXPECT_TRUE(page.ok()) << page.status();
+  EXPECT_TRUE(page.value().next_cursor.empty());
+  return page.value().entries.size();
 }
 
 TEST_F(DedupTest, FileCountPerUser) {
   FileIndex files(db_.get());
-  FileIndexEntry entry;
+  GenerationRecord rec;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(files.PutFile(1, BytesOf("path" + std::to_string(i)), entry).ok());
+    ASSERT_TRUE(
+        files.AppendGeneration(1, BytesOf("path" + std::to_string(i)), rec, nullptr).ok());
   }
-  ASSERT_TRUE(files.PutFile(2, BytesOf("other"), entry).ok());
-  EXPECT_EQ(files.FileCount(1).value(), 5u);
-  EXPECT_EQ(files.FileCount(2).value(), 1u);
-  EXPECT_EQ(files.FileCount(3).value(), 0u);
+  // A second generation of a path is not a second path.
+  ASSERT_TRUE(files.AppendGeneration(1, BytesOf("path0"), rec, nullptr).ok());
+  ASSERT_TRUE(files.AppendGeneration(2, BytesOf("other"), rec, nullptr).ok());
+  EXPECT_EQ(PathCount(files, 1), 5u);
+  EXPECT_EQ(PathCount(files, 2), 1u);
+  EXPECT_EQ(PathCount(files, 3), 0u);
 }
 
 TEST_F(DedupTest, IndicesCoexistInOneDb) {
@@ -146,9 +163,9 @@ TEST_F(DedupTest, IndicesCoexistInOneDb) {
   FileIndex files(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("s"));
   ASSERT_TRUE(shares.Insert(fp, {1, 0, 8}).ok());
-  ASSERT_TRUE(files.PutFile(1, BytesOf("p"), FileIndexEntry{}).ok());
+  ASSERT_TRUE(files.AppendGeneration(1, BytesOf("p"), GenerationRecord{}, nullptr).ok());
   EXPECT_EQ(shares.UniqueShareCount().value(), 1u);
-  EXPECT_EQ(files.FileCount(1).value(), 1u);
+  EXPECT_EQ(PathCount(files, 1), 1u);
 }
 
 TEST_F(DedupTest, IndexSurvivesDbReopen) {

@@ -99,7 +99,7 @@ Bytes TestContent(uint64_t seed, size_t size) {
 }
 
 StatsReply ServerStats(CdstoreServer* server) {
-  Bytes frame = server->Handle(Encode(StatsRequest{}));
+  Bytes frame = Dispatch(*server, Encode(StatsRequest{}));
   StatsReply stats;
   CHECK(Decode(frame, &stats).ok());
   return stats;
@@ -616,6 +616,28 @@ TEST_F(NamespaceTest, StatsCarryNamespaceTotals) {
     world.servers[0] = std::move(reopened.value());
     world.transports[0] = std::make_unique<InProcTransport>(world.servers[0].get());
   }
+}
+
+// A meta record that predates the generation total is refused as
+// corruption at open: the server neither aborts nor recounts.
+TEST_F(NamespaceTest, MetaWithoutGenerationTotalFailsOpenWithCorruption) {
+  const std::string index_dir = dir_.Sub("short_meta");
+  {
+    auto db = Db::Open(index_dir, DbOptions{});
+    ASSERT_TRUE(db.ok()) << db.status();
+    BufferWriter meta;
+    meta.PutU64(1);  // share container sequence
+    meta.PutU64(1);  // recipe container sequence
+    meta.PutU64(0);  // stored bytes
+    meta.PutU64(0);  // file count; no generation total follows
+    ASSERT_TRUE(db.value()->Put(BytesOf("Mserver"), meta.data()).ok());
+  }
+  MemBackend backend;
+  ServerOptions so;
+  so.index_dir = index_dir;
+  auto server = CdstoreServer::Create(&backend, so);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kCorruption) << server.status();
 }
 
 // ------------------------------------------------------ snapshot lifecycle --
