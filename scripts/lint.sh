@@ -13,6 +13,10 @@
 #      for an early return.
 #   4. A bare `Finish();` statement. Status is [[nodiscard]], but a future
 #      refactor could strip the attribute; keep the textual ban as a belt.
+#   5. `::listen(` / `::accept(` outside src/net/tcp.cc. TcpServer is the one
+#      server core (poll loop, worker pool, draining Stop()); a protocol is a
+#      ConnHandler on it, not another accept loop. Tests are exempt: their
+#      hostile fake peers need raw sockets.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,6 +70,16 @@ hits=$(grep -rnE '^[[:space:]]*[A-Za-z_>.-]*Finish\(\);' src tests --include='*.
        | grep -vE '\(void\)' || true)
 if [ -n "$hits" ]; then
   say "Finish() returns Status; check it or cast to (void) with a comment:"
+  echo "$hits" >&2
+  fail=1
+fi
+
+# -- 5. one server core ----------------------------------------------------
+hits=$(grep -rnE '::(listen|accept)\(' src bench examples --include='*.cc' --include='*.h' \
+       | grep -v '^src/net/tcp\.cc:' || true)
+if [ -n "$hits" ]; then
+  say "::listen/::accept outside src/net/tcp.cc; serve through TcpServer::Listen"
+  say "with a ConnHandler instead:"
   echo "$hits" >&2
   fail=1
 fi

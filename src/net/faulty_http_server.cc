@@ -1,126 +1,53 @@
 #include "src/net/faulty_http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 namespace cdstore {
 
+namespace {
+
+// Worker pool size: HttpClient's default max_connections (8) plus as many
+// again for requests held by an injected kStall (a client that gives up on
+// one redials while the stall still holds its worker), so a stall never
+// starves the client's other requests of a worker.
+constexpr int kServerWorkers = 16;
+
+}  // namespace
+
 Result<std::unique_ptr<FaultyHttpServer>> FaultyHttpServer::Start(int port,
                                                                   const FaultSpec& faults) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError("socket() failed");
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::IOError("bind() failed");
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    return Status::IOError("listen() failed");
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  return std::unique_ptr<FaultyHttpServer>(
-      new FaultyHttpServer(fd, ntohs(addr.sin_port), faults));
+  std::unique_ptr<FaultyHttpServer> s(new FaultyHttpServer(faults));
+  ConnHandler serve = [raw = s.get()](DeadlineSocket& sock) { return raw->Serve(sock); };
+  ASSIGN_OR_RETURN(s->server_,
+                   TcpServer::Listen(port, std::move(serve), {.num_workers = kServerWorkers}));
+  return s;
 }
 
-FaultyHttpServer::FaultyHttpServer(int listen_fd, int port, const FaultSpec& faults)
-    : listen_fd_(listen_fd), port_(port), plan_(faults) {
-  accept_thread_ = std::thread([this]() { AcceptLoop(); });
+FaultyHttpServer::~FaultyHttpServer() {
+  if (server_ != nullptr) {  // null only when Start() failed to bind
+    Stop();
+  }
 }
-
-FaultyHttpServer::~FaultyHttpServer() { Stop(); }
 
 void FaultyHttpServer::Stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  ::close(listen_fd_);
-  std::vector<std::thread> conns;
-  {
-    MutexLock lock(conns_mu_);
-    // Wake every connection thread blocked in a read; each unregisters its
-    // fd (under this mutex) before closing it, so no stale shutdowns.
-    for (int fd : conn_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-    conns.swap(conn_threads_);
-  }
-  for (auto& t : conns) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
+  stopping_ = true;  // first, so a held stall ends and its request can reply
+  server_->Stop();   // drains admitted requests, then cuts the connections
 }
 
-void FaultyHttpServer::AcceptLoop() {
-  while (!stopping_) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int n = ::poll(&pfd, 1, 200);
-    if (n <= 0) {
-      continue;
-    }
-    int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) {
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    MutexLock lock(conns_mu_);
-    if (stopping_) {
-      ::close(conn);
-      return;
-    }
-    conn_threads_.emplace_back([this, conn]() { ServeConnection(conn); });
+bool FaultyHttpServer::Serve(DeadlineSocket& sock) {
+  HttpRequest req;
+  auto got = ReadHttpRequest(sock, &req, DeadlineAfterMs(kServerIoTimeoutMs));
+  if (!got.ok() || !got.value()) {
+    return false;  // close, mid-request cut or protocol error
   }
-}
-
-void FaultyHttpServer::ServeConnection(int fd) {
-  DeadlineSocket sock(fd);
-  {
-    MutexLock lock(conns_mu_);
-    conn_fds_.insert(fd);
-  }
-  // Keep-alive loop. Stop() wakes a blocked read via shutdown(); the
-  // deadline is only a backstop against a peer stalled mid-request.
-  while (!stopping_) {
-    HttpRequest req;
-    auto got = ReadHttpRequest(sock, &req, DeadlineAfterMs(30000));
-    if (!got.ok() || !got.value()) {
-      break;  // close, mid-request cut, protocol error, or Stop()
-    }
-    ++requests_served_;
-    if (!HandleRequest(sock, req)) {
-      break;  // injected drop / partial body: cut the connection
-    }
-  }
-  MutexLock lock(conns_mu_);
-  conn_fds_.erase(fd);  // before ~DeadlineSocket closes it (fd reuse safety)
-}
-
-bool FaultyHttpServer::HandleRequest(DeadlineSocket& sock, const HttpRequest& req) {
+  ++requests_served_;
   FaultKind fault = plan_.Next();
   if (fault == FaultKind::kStall) {
     // TCP stall: the request is in, the reply is held. Sleep in slices so
-    // Stop() is never gated on a scheduled stall.
+    // Stop() is never gated on a scheduled stall; the request is then served
+    // as usual and replies before the drain cuts its connection.
     uint64_t remaining = plan_.spec().stall_ms;
     while (remaining > 0 && !stopping_) {
       uint64_t slice = std::min<uint64_t>(remaining, 50);
@@ -128,7 +55,7 @@ bool FaultyHttpServer::HandleRequest(DeadlineSocket& sock, const HttpRequest& re
       remaining -= slice;
     }
   }
-  SockDeadline send_deadline = DeadlineAfterMs(10000);
+  SockDeadline send_deadline = DeadlineAfterMs(kServerIoTimeoutMs);
   auto reply = [&](int status, ConstByteSpan body) {
     std::string head = BuildHttpResponseHead(status, body.size(), /*keep_alive=*/true);
     if (!sock.SendAll(reinterpret_cast<const uint8_t*>(head.data()), head.size(),

@@ -3,7 +3,10 @@
 // A seeded FaultPlan schedules 500s, stalls, partial bodies, and
 // connection drops deterministically, so the robustness stack above it
 // (retry/backoff, deadlines, cloud detach, lane failover) is exercised by
-// a real transport instead of in-process flags, repeatably.
+// a real transport instead of in-process flags, repeatably. It is a
+// per-request handler on the TcpServer core (net/tcp): the poll() readiness
+// thread and worker pool serve its connections, and Stop() cuts injected
+// stalls short, then drains — a request already admitted gets its reply.
 //
 // Protocol (one bucket level, path-safe object names):
 //   PUT    /<bucket>/<name>   store body          -> 200
@@ -17,15 +20,12 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "src/net/http.h"
+#include "src/net/tcp.h"
 #include "src/storage/backend.h"
 #include "src/util/fault_plan.h"
 #include "src/util/status.h"
-#include "src/util/sync.h"
 
 namespace cdstore {
 
@@ -38,9 +38,9 @@ class FaultyHttpServer {
   ~FaultyHttpServer();
   void Stop();  // idempotent
 
-  int port() const { return port_; }
+  int port() const { return server_->port(); }
   std::string endpoint(const std::string& bucket) const {
-    return "http://127.0.0.1:" + std::to_string(port_) + "/" + bucket;
+    return "http://127.0.0.1:" + std::to_string(port()) + "/" + bucket;
   }
 
   // The authoritative object map behind the HTTP front (keys are
@@ -52,23 +52,16 @@ class FaultyHttpServer {
   uint64_t requests_served() const { return requests_served_; }
 
  private:
-  FaultyHttpServer(int listen_fd, int port, const FaultSpec& faults);
-  void AcceptLoop();
-  void ServeConnection(int fd);
-  // Handles one parsed request; returns false when the connection must
-  // drop (injected drop/partial-body or a protocol error).
-  bool HandleRequest(DeadlineSocket& sock, const HttpRequest& req);
+  explicit FaultyHttpServer(const FaultSpec& faults) : plan_(faults) {}
+  // Serves one request off `sock`; returns false when the connection must
+  // drop (injected drop/partial-body, a protocol error or a closed peer).
+  bool Serve(DeadlineSocket& sock);
 
-  int listen_fd_;
-  int port_;
   MemBackend store_;
   FaultPlan plan_;
-  std::atomic<bool> stopping_{false};
+  std::atomic<bool> stopping_{false};  // set by Stop(): cuts injected stalls short
   std::atomic<uint64_t> requests_served_{0};
-  std::thread accept_thread_;
-  Mutex conns_mu_;
-  std::vector<std::thread> conn_threads_ GUARDED_BY(conns_mu_);
-  std::unordered_set<int> conn_fds_ GUARDED_BY(conns_mu_);  // live; Stop() shutdown()s to wake reads
+  std::unique_ptr<TcpServer> server_;  // last: its workers use the members above
 };
 
 }  // namespace cdstore

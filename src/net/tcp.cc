@@ -6,13 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 
 #include "src/net/service.h"
 #include "src/util/logging.h"
@@ -21,70 +18,50 @@ namespace cdstore {
 
 namespace {
 
-bool WriteAll(int fd, const uint8_t* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadAll(int fd, uint8_t* data, size_t len) {
-  size_t got = 0;
-  while (got < len) {
-    ssize_t n = ::recv(fd, data + got, len - got, 0);
-    if (n <= 0) {
-      return false;
-    }
-    got += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFrame(int fd, ConstByteSpan frame) {
+// The [u32 little-endian length][frame] codec shared by the server and
+// TcpTransport::Call.
+Status WriteFrame(DeadlineSocket& sock, ConstByteSpan frame, SockDeadline deadline) {
   uint8_t hdr[4];
   uint32_t len = static_cast<uint32_t>(frame.size());
   for (int i = 0; i < 4; ++i) {
     hdr[i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  return WriteAll(fd, hdr, 4) && WriteAll(fd, frame.data(), frame.size());
+  RETURN_IF_ERROR(sock.SendAll(hdr, 4, deadline));
+  return frame.empty() ? Status::Ok() : sock.SendAll(frame.data(), frame.size(), deadline);
 }
 
-bool ReadFrame(int fd, Bytes* frame) {
+// A length past kMaxFrameBytes is kCorruption, checked before the frame
+// buffer is sized: the peer's header is untrusted input.
+Result<Bytes> ReadFrame(DeadlineSocket& sock, SockDeadline deadline) {
   uint8_t hdr[4];
-  if (!ReadAll(fd, hdr, 4)) {
-    return false;
-  }
+  RETURN_IF_ERROR(sock.RecvAll(hdr, 4, deadline));
   uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
     len |= static_cast<uint32_t>(hdr[i]) << (8 * i);
   }
   if (len > kMaxFrameBytes) {
-    return false;
+    return Status::Corruption("frame exceeds the frame cap");
   }
-  frame->resize(len);
-  return len == 0 || ReadAll(fd, frame->data(), len);
+  Bytes frame(len);
+  if (len > 0) {
+    RETURN_IF_ERROR(sock.RecvAll(frame.data(), len, deadline));
+  }
+  return frame;
 }
 
 }  // namespace
 
-TcpServer::TcpServer(int fd, int port, RpcHandler handler, TcpServerOptions options)
-    : listen_fd_(fd), port_(port), handler_(std::move(handler)), opts_(options) {
-  if (opts_.num_workers < 1) {
-    opts_.num_workers = 1;
-  }
+TcpServer::TcpServer(int fd, int port, ConnHandler handler, TcpServerOptions options)
+    : listen_fd_(fd), port_(port), handler_(std::move(handler)) {
+  int num_workers = std::max(options.num_workers, 1);
   CHECK(::pipe(wake_pipe_) == 0);
   // Non-blocking both ways: draining must not block the poller once the
   // pending wakeups run out, and a full pipe just means one is pending.
   ::fcntl(wake_pipe_[0], F_SETFL, O_NONBLOCK);
   ::fcntl(wake_pipe_[1], F_SETFL, O_NONBLOCK);
   poll_thread_ = std::thread([this]() { PollLoop(); });
-  workers_.reserve(opts_.num_workers);
-  for (int i = 0; i < opts_.num_workers; ++i) {
+  workers_.reserve(num_workers);
+  for (int i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
@@ -97,6 +74,19 @@ Result<std::unique_ptr<TcpServer>> TcpServer::Listen(int port, ServerService* se
 }
 
 Result<std::unique_ptr<TcpServer>> TcpServer::Listen(int port, RpcHandler handler,
+                                                     TcpServerOptions options) {
+  ConnHandler exchange = [handler = std::move(handler)](DeadlineSocket& sock) {
+    Result<Bytes> request = ReadFrame(sock, DeadlineAfterMs(kServerIoTimeoutMs));
+    if (!request.ok()) {
+      return false;
+    }
+    Bytes reply = handler(request.value());
+    return WriteFrame(sock, reply, DeadlineAfterMs(kServerIoTimeoutMs)).ok();
+  };
+  return Listen(port, std::move(exchange), options);
+}
+
+Result<std::unique_ptr<TcpServer>> TcpServer::Listen(int port, ConnHandler handler,
                                                      TcpServerOptions options) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -166,16 +156,9 @@ void TcpServer::PollLoop() {
       while ((conn = ::accept(listen_fd_, nullptr, nullptr)) >= 0) {
         int one = 1;
         ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        if (opts_.io_timeout_ms > 0) {
-          timeval tv{};
-          tv.tv_sec = opts_.io_timeout_ms / 1000;
-          tv.tv_usec = (opts_.io_timeout_ms % 1000) * 1000;
-          ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-          ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        }
         MutexLock lock(mu_);
         idle_.insert(conn);
-        conns_.insert(conn);
+        conns_.emplace(conn, DeadlineSocket(conn));
       }
     }
     bool admitted = false;
@@ -202,6 +185,7 @@ void TcpServer::PollLoop() {
 void TcpServer::WorkerLoop() {
   while (true) {
     int fd = -1;
+    DeadlineSocket* sock = nullptr;
     {
       MutexLock lock(mu_);
       ready_cv_.Wait(mu_, [this]() REQUIRES(mu_) { return !ready_.empty() || workers_stop_; });
@@ -210,13 +194,9 @@ void TcpServer::WorkerLoop() {
       }
       fd = ready_.front();
       ready_.pop_front();
+      sock = &conns_.at(fd);
     }
-    Bytes request;
-    bool alive = ReadFrame(fd, &request);
-    if (alive) {
-      Bytes reply = handler_(request);
-      alive = WriteFrame(fd, reply);
-    }
+    bool alive = handler_(*sock);
     bool rearmed = false;
     {
       MutexLock lock(mu_);
@@ -225,8 +205,7 @@ void TcpServer::WorkerLoop() {
         idle_.insert(fd);
         rearmed = true;
       } else {
-        ::close(fd);
-        conns_.erase(fd);
+        conns_.erase(fd);  // closes the socket
       }
     }
     drained_cv_.SignalAll();
@@ -251,11 +230,11 @@ void TcpServer::Stop() {
   // stalled client; the shutdown below unblocks it.
   {
     MutexLock lock(mu_);
-    drained_cv_.WaitForMs(mu_, opts_.drain_timeout_ms,
+    drained_cv_.WaitForMs(mu_, kServerDrainTimeoutMs,
                           [this]() REQUIRES(mu_) { return ready_.empty() && in_flight_ == 0; });
     workers_stop_ = true;
-    for (int fd : conns_) {
-      ::shutdown(fd, SHUT_RDWR);
+    for (const auto& conn : conns_) {
+      ::shutdown(conn.first, SHUT_RDWR);
     }
   }
   ready_cv_.SignalAll();
@@ -266,10 +245,7 @@ void TcpServer::Stop() {
   }
   {
     MutexLock lock(mu_);
-    for (int fd : conns_) {
-      ::close(fd);
-    }
-    conns_.clear();
+    conns_.clear();  // closes every connection
     idle_.clear();
   }
   ::close(listen_fd_);
@@ -294,38 +270,13 @@ Result<Bytes> TcpTransport::Call(ConstByteSpan request) {
   // desynchronized (a late reply would answer the wrong request), so the
   // connection is closed for good and later calls fail fast.
   SockDeadline deadline = DeadlineAfterMs(opts_.rpc_deadline_ms);
-  uint8_t hdr[4];
-  uint32_t len = static_cast<uint32_t>(request.size());
-  for (int i = 0; i < 4; ++i) {
-    hdr[i] = static_cast<uint8_t>(len >> (8 * i));
-  }
-  Status st = sock_.SendAll(hdr, 4, deadline);
-  if (st.ok() && !request.empty()) {
-    st = sock_.SendAll(request.data(), request.size(), deadline);
-  }
-  Bytes reply;
-  if (st.ok()) {
-    st = sock_.RecvAll(hdr, 4, deadline);
-  }
-  if (st.ok()) {
-    uint32_t reply_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      reply_len |= static_cast<uint32_t>(hdr[i]) << (8 * i);
-    }
-    if (reply_len > kMaxFrameBytes) {
-      st = Status::Corruption("reply frame exceeds the frame cap");
-    } else {
-      reply.resize(reply_len);
-      if (reply_len > 0) {
-        st = sock_.RecvAll(reply.data(), reply_len, deadline);
-      }
-    }
-  }
-  if (!st.ok()) {
+  Status st = WriteFrame(sock_, request, deadline);
+  Result<Bytes> reply = st.ok() ? ReadFrame(sock_, deadline) : Result<Bytes>(st);
+  if (!reply.ok()) {
     sock_.Close();
-    return st.code() == StatusCode::kDeadlineExceeded
+    return reply.status().code() == StatusCode::kDeadlineExceeded
                ? Status::DeadlineExceeded("RPC deadline exceeded")
-               : Status::Unavailable("RPC failed: " + st.message());
+               : Status::Unavailable("RPC failed: " + reply.status().message());
   }
   return reply;
 }

@@ -1,18 +1,23 @@
-// TCP realization of the RPC protocol: [u32 length][frame] in both
-// directions over persistent connections. The server multiplexes all
-// connections through one poll()-based readiness thread and a shared pool
-// of request workers (the multi-threaded communication module of §4.6) —
-// a thousand idle clients cost a thousand fds, not a thousand threads.
-// Stop() drains gracefully: requests already being served complete and
+// The one socket server core, and the TCP realization of the RPC
+// protocol on it. TcpServer multiplexes every connection through one
+// poll()-based readiness thread and a shared pool of workers (the
+// multi-threaded communication module of §4.6) — a thousand idle clients
+// cost a thousand fds, not a thousand threads. A protocol supplies only its
+// per-exchange code, a ConnHandler: the RPC front end ([u32 length][frame]
+// in both directions over persistent connections), the Prometheus scrape
+// endpoint and the fault-injecting object store all run on this core.
+// Stop() drains gracefully: exchanges already being served complete and
 // their replies are written before the connections are cut.
 #ifndef CDSTORE_SRC_NET_TCP_H_
 #define CDSTORE_SRC_NET_TCP_H_
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -23,18 +28,23 @@
 
 namespace cdstore {
 
+// Bound on one read phase and, separately, one write phase of a server
+// exchange: a peer that stalls mid-request or stops draining its reply
+// frees its worker after this long.
+inline constexpr uint64_t kServerIoTimeoutMs = 30000;
+// How long Stop() waits for admitted exchanges to finish before it cuts the
+// remaining connections loose.
+inline constexpr int kServerDrainTimeoutMs = 5000;
+
+// Serves one exchange (read a request, write its reply) on a connection the
+// poller found readable. Returning false closes the connection; true
+// re-arms it for the next request.
+using ConnHandler = std::function<bool(DeadlineSocket&)>;
+
 struct TcpServerOptions {
-  // Shared request-worker pool size. Also the bound on concurrently served
-  // requests; further readable connections queue for a free worker.
+  // Shared worker pool size. Also the bound on concurrently served
+  // exchanges; further readable connections queue for a free worker.
   int num_workers = 4;
-  // How long Stop() waits for in-flight requests to finish before cutting
-  // the remaining connections loose.
-  int drain_timeout_ms = 5000;
-  // Per-recv/send timeout on server connections. Bounds how long a worker
-  // can be pinned by a client that stalls mid-frame (each syscall that
-  // makes progress restarts the clock, so slow links stay served).
-  // 0 disables.
-  int io_timeout_ms = 30000;
 };
 
 class TcpServer {
@@ -42,22 +52,25 @@ class TcpServer {
   ~TcpServer();
 
   // Binds to 127.0.0.1:`port` (0 = ephemeral) and starts accepting,
-  // dispatching each request frame through Dispatch(*service, ...).
-  // `service` is borrowed and must outlive the server.
+  // serving each exchange through `handler`.
+  static Result<std::unique_ptr<TcpServer>> Listen(int port, ConnHandler handler,
+                                                   TcpServerOptions options = {});
+  // RPC front ends: each request frame goes through Dispatch(*service, ...)
+  // or a raw-frame handler (tests, proxies). `service` is borrowed and must
+  // outlive the server.
   static Result<std::unique_ptr<TcpServer>> Listen(int port, ServerService* service,
                                                    TcpServerOptions options = {});
-  // Raw-frame variant for custom handlers (tests, proxies).
   static Result<std::unique_ptr<TcpServer>> Listen(int port, RpcHandler handler,
                                                    TcpServerOptions options = {});
 
   int port() const { return port_; }
 
-  // Graceful shutdown: stops accepting, lets admitted requests finish and
+  // Graceful shutdown: stops accepting, lets admitted exchanges finish and
   // reply, then closes every connection and joins the pool. Idempotent.
   void Stop();
 
  private:
-  TcpServer(int fd, int port, RpcHandler handler, TcpServerOptions options);
+  TcpServer(int fd, int port, ConnHandler handler, TcpServerOptions options);
 
   void PollLoop();
   void WorkerLoop();
@@ -65,16 +78,17 @@ class TcpServer {
 
   int listen_fd_;
   int port_;
-  RpcHandler handler_;
-  TcpServerOptions opts_;
+  ConnHandler handler_;
   std::atomic<bool> stopping_{false};
   int wake_pipe_[2] = {-1, -1};  // poller wakeup (worker re-arms, Stop)
 
   Mutex mu_;
   std::unordered_set<int> idle_ GUARDED_BY(mu_);   // connections in the poll set
   std::deque<int> ready_ GUARDED_BY(mu_);  // readable connections awaiting a worker
-  std::unordered_set<int> conns_ GUARDED_BY(mu_);  // every live connection; cut on Stop()
-  int in_flight_ GUARDED_BY(mu_) = 0;  // requests admitted to the pool, not yet done
+  // Every live connection by fd; cut on Stop(). Node-based, so a worker's
+  // reference to its socket survives other connections coming and going.
+  std::unordered_map<int, DeadlineSocket> conns_ GUARDED_BY(mu_);
+  int in_flight_ GUARDED_BY(mu_) = 0;  // exchanges admitted to the pool, not yet done
   bool workers_stop_ GUARDED_BY(mu_) = false;
   CondVar ready_cv_;    // work available / shutdown
   CondVar drained_cv_;  // in-flight count reached zero

@@ -1,136 +1,39 @@
 #include "src/obs/metrics_http.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "src/net/http.h"
 
 namespace cdstore {
 
+namespace {
+
+// Scrapes are rare and tiny; one worker serves them in turn.
+constexpr int kScrapeWorkers = 1;
+
+}  // namespace
+
 Result<std::unique_ptr<MetricsHttpServer>> MetricsHttpServer::Start(MetricRegistry* registry,
                                                                     int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError("socket() failed");
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::IOError("bind() failed");
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    return Status::IOError("listen() failed");
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  return std::unique_ptr<MetricsHttpServer>(
-      new MetricsHttpServer(registry, fd, ntohs(addr.sin_port)));
-}
-
-MetricsHttpServer::MetricsHttpServer(MetricRegistry* registry, int listen_fd, int port)
-    : registry_(registry), listen_fd_(listen_fd), port_(port) {
-  accept_thread_ = std::thread([this]() { AcceptLoop(); });
-}
-
-MetricsHttpServer::~MetricsHttpServer() { Stop(); }
-
-void MetricsHttpServer::Stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  ::close(listen_fd_);
-  std::vector<std::thread> conns;
-  {
-    MutexLock lock(conns_mu_);
-    // Wake every connection thread blocked in a read; each unregisters its
-    // fd (under this mutex) before closing it, so no stale shutdowns.
-    for (int fd : conn_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-    conns.swap(conn_threads_);
-  }
-  for (auto& t : conns) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
-}
-
-void MetricsHttpServer::AcceptLoop() {
-  while (!stopping_) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int n = ::poll(&pfd, 1, 200);
-    if (n <= 0) {
-      continue;
-    }
-    int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) {
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    MutexLock lock(conns_mu_);
-    if (stopping_) {
-      ::close(conn);
-      return;
-    }
-    conn_threads_.emplace_back([this, conn]() { ServeConnection(conn); });
-  }
-}
-
-void MetricsHttpServer::ServeConnection(int fd) {
-  DeadlineSocket sock(fd);
-  {
-    MutexLock lock(conns_mu_);
-    conn_fds_.insert(fd);
-  }
-  // Keep-alive loop: a scraper may reuse the connection. Stop() wakes a
-  // blocked read via shutdown(); the deadline is a stalled-peer backstop.
-  while (!stopping_) {
+  ConnHandler scrape = [registry](DeadlineSocket& sock) {
     HttpRequest req;
-    auto got = ReadHttpRequest(sock, &req, DeadlineAfterMs(30000));
+    auto got = ReadHttpRequest(sock, &req, DeadlineAfterMs(kServerIoTimeoutMs));
     if (!got.ok() || !got.value()) {
-      break;
+      return false;  // close, protocol error or stalled peer
     }
-    std::string path = req.target;
-    if (size_t q = path.find('?'); q != std::string::npos) {
-      path = path.substr(0, q);
-    }
+    std::string path = req.target.substr(0, req.target.find('?'));
     std::string body;
     int status = 404;
     if (req.method == "GET" && path == "/metrics") {
-      body = registry_->PrometheusText();
+      body = registry->PrometheusText();
       status = 200;
     }
-    SockDeadline send_deadline = DeadlineAfterMs(10000);
-    std::string head = BuildHttpResponseHead(status, body.size(), /*keep_alive=*/true);
-    if (!sock.SendAll(reinterpret_cast<const uint8_t*>(head.data()), head.size(),
-                      send_deadline)
-             .ok()) {
-      break;
-    }
-    if (!body.empty() && !sock.SendAll(reinterpret_cast<const uint8_t*>(body.data()),
-                                       body.size(), send_deadline)
-                              .ok()) {
-      break;
-    }
-  }
-  MutexLock lock(conns_mu_);
-  conn_fds_.erase(fd);  // before ~DeadlineSocket closes it (fd reuse safety)
+    std::string reply = BuildHttpResponseHead(status, body.size(), /*keep_alive=*/true) + body;
+    Status sent = sock.SendAll(reinterpret_cast<const uint8_t*>(reply.data()), reply.size(),
+                               DeadlineAfterMs(kServerIoTimeoutMs));
+    return sent.ok();
+  };
+  ASSIGN_OR_RETURN(std::unique_ptr<TcpServer> server,
+                   TcpServer::Listen(port, std::move(scrape), {.num_workers = kScrapeWorkers}));
+  return std::unique_ptr<MetricsHttpServer>(new MetricsHttpServer(std::move(server)));
 }
 
 }  // namespace cdstore

@@ -1,23 +1,18 @@
-// The Prometheus scrape surface: a tiny HTTP server answering
+// The Prometheus scrape surface: a small HTTP handler answering
 //   GET /metrics   -> text exposition of the registry snapshot (200)
-// on 127.0.0.1, reusing the net/http framing (DeadlineSocket +
-// ReadHttpRequest + BuildHttpResponseHead) that already serves the object
-// backend. One accept thread, one short-lived thread per connection —
-// scrapes are rare and tiny, so the TCP worker pool would be overkill.
-// Anything that is not GET /metrics gets a 404.
+// on 127.0.0.1, served by the TcpServer core (net/tcp: poll() readiness
+// thread, worker pool, draining Stop()) with the net/http framing
+// (ReadHttpRequest + BuildHttpResponseHead) that already serves the object
+// backend. Anything that is not GET /metrics gets a 404.
 #ifndef CDSTORE_SRC_OBS_METRICS_HTTP_H_
 #define CDSTORE_SRC_OBS_METRICS_HTTP_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
+#include "src/net/tcp.h"
 #include "src/obs/metrics.h"
 #include "src/util/status.h"
-#include "src/util/sync.h"
 
 namespace cdstore {
 
@@ -28,27 +23,17 @@ class MetricsHttpServer {
   static Result<std::unique_ptr<MetricsHttpServer>> Start(MetricRegistry* registry,
                                                           int port = 0);
 
-  ~MetricsHttpServer();
-  void Stop();  // idempotent
+  void Stop() { server_->Stop(); }  // idempotent
 
-  int port() const { return port_; }
+  int port() const { return server_->port(); }
   std::string url() const {
-    return "http://127.0.0.1:" + std::to_string(port_) + "/metrics";
+    return "http://127.0.0.1:" + std::to_string(port()) + "/metrics";
   }
 
  private:
-  MetricsHttpServer(MetricRegistry* registry, int listen_fd, int port);
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  explicit MetricsHttpServer(std::unique_ptr<TcpServer> server) : server_(std::move(server)) {}
 
-  MetricRegistry* registry_;
-  int listen_fd_;
-  int port_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  Mutex conns_mu_;
-  std::vector<std::thread> conn_threads_ GUARDED_BY(conns_mu_);
-  std::unordered_set<int> conn_fds_ GUARDED_BY(conns_mu_);  // live; Stop() shutdown()s them
+  std::unique_ptr<TcpServer> server_;
 };
 
 }  // namespace cdstore

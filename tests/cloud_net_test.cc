@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -585,6 +586,84 @@ TEST(TcpTest, MultipleConcurrentClients) {
 TEST(TcpTest, ConnectToClosedPortFails) {
   auto client = TcpTransport::Connect("127.0.0.1", 1);  // port 1: closed
   EXPECT_FALSE(client.ok());
+}
+
+// The [u32 length] header of a frame announcing kMaxFrameBytes + 1.
+void OversizedFrameHeader(uint8_t hdr[4]) {
+  const uint32_t len = static_cast<uint32_t>(kMaxFrameBytes) + 1;
+  for (int i = 0; i < 4; ++i) {
+    hdr[i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+}
+
+uint64_t MsSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count());
+}
+
+// A request header past the frame cap closes that connection before the
+// server sizes a buffer or waits for the body, and the server keeps serving
+// other connections.
+TEST(TcpTest, OversizedRequestFrameClosesOnlyThatConnection) {
+  std::atomic<int> handled{0};
+  auto server = TcpServer::Listen(0, [&](ConstByteSpan req) {
+    ++handled;
+    return Bytes(req.begin(), req.end());
+  });
+  ASSERT_TRUE(server.ok());
+  const int port = server.value()->port();
+
+  auto raw = DeadlineSocket::ConnectTcp("127.0.0.1", port, DeadlineAfterMs(5000));
+  ASSERT_TRUE(raw.ok());
+  uint8_t hdr[4];
+  OversizedFrameHeader(hdr);
+  ASSERT_TRUE(raw->SendAll(hdr, 4, DeadlineAfterMs(5000)).ok());
+  // A server that sized the frame would sit waiting for 64 MiB of body and
+  // this read would hit its deadline; the cap check closes the socket.
+  auto start = std::chrono::steady_clock::now();
+  uint8_t byte = 0;
+  auto got = raw->RecvSome(&byte, 1, DeadlineAfterMs(5000));
+  if (got.ok()) {
+    EXPECT_EQ(got.value(), 0u) << "connection must be closed, not answered";
+  } else {
+    EXPECT_EQ(got.status().code(), StatusCode::kUnavailable) << got.status();
+  }
+  EXPECT_LT(MsSince(start), 2000u);
+  EXPECT_EQ(handled.load(), 0);
+
+  auto client = TcpTransport::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok());
+  auto reply = client.value()->Call(BytesOf("ping"));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(StringOf(reply.value()), "ping");
+  EXPECT_EQ(handled.load(), 1);
+}
+
+// The reply-side twin: a server announcing a reply past the frame cap fails
+// the call at once instead of sizing a buffer and waiting for its body.
+TEST(TcpTest, OversizedReplyFrameFailsTheCall) {
+  auto server = TcpServer::Listen(0, [](DeadlineSocket& sock) {
+    uint8_t hdr[4];  // the request is empty: its header is the whole frame
+    if (!sock.RecvAll(hdr, 4, DeadlineAfterMs(5000)).ok()) {
+      return false;
+    }
+    OversizedFrameHeader(hdr);
+    (void)sock.SendAll(hdr, 4, DeadlineAfterMs(5000));
+    return true;  // hold the connection open, body never sent
+  });
+  ASSERT_TRUE(server.ok());
+  TcpTransportOptions opts;
+  opts.rpc_deadline_ms = 5000;
+  auto client = TcpTransport::Connect("127.0.0.1", server.value()->port(), opts);
+  ASSERT_TRUE(client.ok());
+
+  auto start = std::chrono::steady_clock::now();
+  auto reply = client.value()->Call({});
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable) << reply.status();
+  EXPECT_NE(reply.status().message().find("frame cap"), std::string::npos) << reply.status();
+  EXPECT_LT(MsSince(start), 2000u);
 }
 
 // ------------------------------------------------------- per-RPC deadlines --

@@ -139,6 +139,36 @@ TEST(HttpBackendTest, StallHitsAttemptDeadlineThenRetrySucceeds) {
   EXPECT_LT(elapsed, 2500u);
 }
 
+// Stop() drains: a PUT held by an injected stall when Stop() runs has its
+// stall cut short, is stored and gets its 200 before the connection is cut,
+// and Stop() returns inside the drain bound.
+TEST(HttpBackendTest, StopRepliesToAStalledPutBeforeCuttingIt) {
+  FaultSpec faults;
+  faults.stall_ms = 10000;
+  auto server = FaultyHttpServer::Start(0, faults);
+  ASSERT_TRUE(server.ok());
+  (*server)->plan()->ForceNext(FaultKind::kStall, 1);
+
+  HttpClient client("127.0.0.1", (*server)->port());
+  Result<HttpResponse> resp = Status::Unavailable("PUT not sent");
+  std::thread put([&]() { resp = client.Do("PUT", "/b/obj", BytesOf("payload"), 20000); });
+  while ((*server)->requests_served() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // inside the stall
+
+  auto start = std::chrono::steady_clock::now();
+  (*server)->Stop();
+  uint64_t stop_ms = ElapsedMs(start);
+  put.join();
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp.value().status, 200);
+  auto stored = (*server)->store()->Get("b/obj");
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored.value(), BytesOf("payload"));
+  EXPECT_LT(stop_ms, static_cast<uint64_t>(kServerDrainTimeoutMs));
+}
+
 TEST(HttpBackendTest, ClientErrorIsTerminalAndNotRetried) {
   auto server = FaultyHttpServer::Start(0);
   ASSERT_TRUE(server.ok());
